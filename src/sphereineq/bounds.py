@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import ValidationError
 from .exponents import ParameterPoint
@@ -164,6 +163,7 @@ def mu_lower_envelope(
     i = int(np.argmin(h))
     best = float(h[i])
     if 0 < i < len(s) - 1:
+        from scipy.optimize import minimize_scalar
 
         def objective(sv: float) -> float:
             val = phi_envelope(
@@ -210,6 +210,8 @@ def klt_lambda_bar_schrodinger(pp: ParameterPoint, mu: float) -> float:
 
     def gap(lam: float) -> float:
         return mu_lower_envelope(pp, lam) - mu
+
+    from scipy.optimize import brentq
 
     hi = 2.0
     while gap(hi) < 0.0:

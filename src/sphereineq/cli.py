@@ -818,7 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("flow", help="run a flow described by a JSON config and certify it")
     sp.add_argument("config", help="path to the JSON flow description")
-    sp.add_argument("--tol", type=float, default=1e-6, help="entropy-rate residual tolerance")
+    sp.add_argument("--tol", type=float, default=1e-6, help="slack on the heat-flow ODE-chain residual (ode_tol)")
     _add_out_dir(sp)
     sp.set_defaults(func=cmd_flow)
 

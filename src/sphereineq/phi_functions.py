@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import InvariantViolation, ValidationError
 from .exponents import FlowSetting, ParameterPoint, beta_roots, make_flow_setting
@@ -400,6 +399,8 @@ def phi_inverse(pp: ParameterPoint, y: float) -> float:
             hi *= 2.0
         else:
             raise ValidationError(f"y = {y} exceeds the representable range of phi")
+    from scipy.optimize import brentq
+
     return float(brentq(f, 0.0, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps,
                         maxiter=300))
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import eval_jacobi, gammaln, roots_jacobi
 
 from .bounds import afst_constants, antipodal_constant
@@ -435,19 +434,22 @@ def _nu(s: np.ndarray, q: float) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=64)
 def c_q(q: float, scan_points: int = 4096) -> float:
     """Infimum over t > 0, t != 1 of (t^q - 1 - q(t-1)) / nu_q(t - 1).
 
     The quadratic branch covers t in (0, 2] where nu is (t-1)^2; the power
     branch covers t > 2.  The limit values q(q-1)/2 (t -> 1), q - 1 (t -> 0)
     and 1 (t -> infinity) enter as candidates so the infimum is captured even
-    when it is not attained.
+    when it is not attained.  Memoized: ckp_distance asks for the same
+    constant on every call.
     """
     q = float(q)
     if not math.isfinite(q) or q <= 1.0:
         raise ValidationError(f"c_q requires q > 1, got {q}")
     if scan_points < 64:
         raise ValidationError(f"scan_points too small: {scan_points}")
+    from scipy.optimize import minimize_scalar
 
     def bregman(t):
         # t^q - 1 - q (t - 1), written through expm1/log1p near t = 1 where

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.optimize import minimize
 
 from .bounds import (
     klt_lambda_bar_reverse,
@@ -190,6 +188,8 @@ def _descend(model: _QuotientModel, c0: np.ndarray, max_iters: int, grad_tol: fl
     plateaus.  The quotient is scale invariant, which leaves one exactly flat
     direction; the final normalization removes it from the reported argmin.
     """
+    from scipy.optimize import minimize
+
     # optimize in spectrally rescaled variables: without this the high-mode
     # stiffness leaves errors of order 1e-3 after thousands of iterations
     scale = 1.0 / np.sqrt(1.0 + model.eigs)
@@ -411,6 +411,8 @@ def principal_eigenvalue(problem: SchrodingerProblem) -> float:
     probe profiles computed by the same quadrature; the discrete eigenvalue
     is an upper bound for the continuum one.
     """
+    from scipy.linalg import eigh
+
     rule = problem.potential.rule
     v_weighted = rule.weights * problem.potential.values
     gram = rule.basis.T @ (v_weighted[:, None] * rule.basis)

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -436,3 +438,32 @@ class TestMainContract:
         )
         assert result.returncode == 0
         assert __version__ in result.stdout
+
+
+# Runs in a fresh interpreter: other tests load scipy.optimize into this one.
+_LAZY_IMPORT_PROBE = """
+import json, sys
+from sphereineq.cli import main
+code = main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps([code, [m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules]]))
+"""
+
+
+def run_fresh(*argv: str):
+    """(exit code, heavy scipy modules loaded) for `main(argv)` in a new process."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", _LAZY_IMPORT_PROBE, *argv],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return tuple(json.loads(result.stdout.strip().splitlines()[-1]))
+
+
+class TestLazyScipyImports:
+    def test_import_loads_neither_optimize_nor_linalg(self):
+        assert run_fresh() == (0, [])
+
+    @pytest.mark.parametrize("argv", [["constants", "--d", "3", "--p", "3"], ["figure2"]])
+    def test_light_commands_load_neither(self, argv, tmp_path):
+        assert run_fresh(*argv, "--out-dir", str(tmp_path)) == (0, [])

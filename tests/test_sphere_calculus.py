@@ -444,3 +444,14 @@ class TestKernelConstant:
             c_q(1.0)
         with pytest.raises(ValidationError):
             c_q(0.5)
+
+    def test_repeated_call_is_a_cache_hit(self):
+        first = c_q(1.7, 512)
+        hits = c_q.cache_info().hits
+        again = c_q(1.7, 512)
+        assert c_q.cache_info().hits == hits + 1
+        assert again is first
+        # a failed call caches nothing, so invalid q raises every time
+        for _ in range(2):
+            with pytest.raises(ValidationError):
+                c_q(1.0, 512)
