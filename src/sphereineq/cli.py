@@ -10,10 +10,11 @@ verify      randomized inequality batteries
 klt         randomized Schrodinger spectral-bound battery
 
 Every run writes its data files and one JSON manifest recording the command,
-parameters, seed, tool version, tolerances, output paths, and wall-clock
-time.  Data outputs are byte-deterministic for a fixed command line and seed,
-so reruns can be compared with a plain byte diff; the manifest repeats the
-inputs so any run can be reproduced from it alone.
+parameters, seed, tool version, tolerances, output paths, wall-clock time,
+and solver diagnostics where the command has them.  Data outputs are
+byte-deterministic for a fixed command line and seed, so reruns can be
+compared with a plain byte diff; the manifest repeats the inputs so any run
+can be reproduced from it alone.
 
 Exit codes: 0 success, 2 invalid parameters or usage, 3 a certified
 invariant failed, 4 an iterative solver did not converge.
@@ -63,6 +64,7 @@ class RunManifest:
     tolerances: dict
     outputs: tuple[str, ...]
     wall_clock_seconds: float
+    diagnostics: dict = dataclasses.field(default_factory=dict)
 
 
 def _jsonable(x):
@@ -281,6 +283,11 @@ def cmd_figure1(args) -> int:
         tolerances={},
         outputs=(str(data_path),),
         wall_clock_seconds=time.perf_counter() - started,
+        diagnostics={
+            "lambda": list(curve.lams),
+            "iterations": list(curve.iterations),
+            "converged": list(curve.converged),
+        },
     )
     manifest_path = _write_manifest(out_dir, stem, manifest)
 

@@ -39,6 +39,7 @@ exceptional p).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from scipy.special import gammaln
@@ -61,6 +62,17 @@ __all__ = [
 # The exceptional exponents (d=2: p = 9 +- 4 sqrt(3); d=3: p = 9/4, 6;
 # d=4: p = 3) land exactly on a vanishing leading coefficient.
 _DEGENERATE_TOL = 1e-9
+
+
+def validate_dimension(d) -> int:
+    """Return the sphere dimension d as a plain int.
+
+    Any integral d >= 1 is accepted, numpy integers included, so that
+    values taken from arrays work; bool is rejected although it is integral.
+    """
+    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
+        raise ValidationError(f"dimension d must be an integer >= 1, got {d!r}")
+    return int(d)
 
 
 def _log_sphere_surface(d: int) -> float:
@@ -111,10 +123,7 @@ def make_parameter_point(d: int, p: float) -> ParameterPoint:
     p may be any real >= 1; for d >= 3 values above the critical exponent
     2d/(d-2) are rejected since none of the inequalities reach past it.
     """
-    if not isinstance(d, (int,)) or isinstance(d, bool):
-        raise ValidationError(f"dimension must be an integer, got {d!r}")
-    if d < 1:
-        raise ValidationError(f"dimension must be >= 1, got {d}")
+    d = validate_dimension(d)
     p = float(p)
     if not math.isfinite(p) or p < 1.0:
         raise ValidationError(f"exponent p must be finite and >= 1, got {p}")

@@ -358,7 +358,12 @@ def _advance(rhs, y, t_target, t, dt, sc, floor, stats):
                 continue
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
             err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
-            if err <= 1.0 or dt <= 1e-15:
+            if err > 1.0 and dt <= 1e-15:
+                raise ConvergenceError(
+                    f"step size fell to {dt:.3g} at t = {t:.6g} with error "
+                    f"estimate {err:.3g} > 1"
+                )
+            if err <= 1.0:
                 factor = safety * (err + 1e-16) ** -0.14 * err_prev**0.08
                 err_prev = max(err, 1e-16)
                 y = y5

@@ -21,7 +21,7 @@ from scipy.special import eval_jacobi, gammaln, roots_jacobi
 
 from .bounds import afst_constants, antipodal_constant
 from .errors import ValidationError
-from .exponents import ParameterPoint
+from .exponents import ParameterPoint, validate_dimension
 from .phi_functions import PhiSpec, phi
 
 __all__ = [
@@ -56,11 +56,10 @@ class UltrasphericalRule:
     __slots__ = ("d", "n", "nodes", "weights", "exactness_degree", "_basis", "_dbasis", "_eigenvalues")
 
     def __init__(self, d: int, n: int):
-        if not isinstance(d, (int, np.integer)) or d < 1:
-            raise ValidationError(f"dimension d must be an integer >= 1, got {d!r}")
+        d = validate_dimension(d)
         if not isinstance(n, (int, np.integer)) or n < 2:
             raise ValidationError(f"node count n too small: need n >= 2, got {n!r}")
-        self.d = int(d)
+        self.d = d
         self.n = int(n)
         a = 0.5 * d - 1.0
         nodes, raw_weights = roots_jacobi(n, a, a)
@@ -132,9 +131,13 @@ class UltrasphericalRule:
         return f"UltrasphericalRule(d={self.d}, n={self.n})"
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def make_rule(d: int, n: int) -> UltrasphericalRule:
-    """Build (and memoize) the n-point quadrature rule for dimension d."""
+    """Build (and memoize) the n-point quadrature rule for dimension d.
+
+    The cache is typed, so that make_rule(True, n) reaches the constructor's
+    check instead of returning the cached rule for d = 1.
+    """
     return UltrasphericalRule(d, n)
 
 

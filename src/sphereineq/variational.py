@@ -12,7 +12,6 @@ interpolation family against sampled potentials.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -130,6 +129,12 @@ class BestConstantResult:
         yield self.minimizer
 
 
+# log u is clipped to [-40, 40]; 0-d arrays skip the per-call conversion of
+# a Python float in the ufuncs below
+_LOG_U_MIN = np.array(-40.0)
+_LOG_U_MAX = np.array(40.0)
+
+
 class _QuotientModel:
     """Quotient and analytic gradient in log-profile coefficient space."""
 
@@ -139,11 +144,19 @@ class _QuotientModel:
         self.coef = problem.value
         self.mu_mode = problem.functional_id == "mu_from_lambda"
         self.basis = self.rule.basis
+        # 2 B^T is exact (a power-of-two scale) and keeps the column-major
+        # layout of B^T, on which the rounding of the BLAS products depends
+        self.basis_t2 = 2.0 * self.basis.T
         self.weights = self.rule.weights
         self.eigs = self.rule.eigenvalues
+        p, d = self.pp.p, self.pp.d
+        self.energy_coef = (p - 2.0) / d if self.mu_mode else (2.0 - p) / d
 
     def profile(self, c: np.ndarray) -> np.ndarray:
-        return np.exp(np.clip(self.basis @ c, -40.0, 40.0))
+        t = self.basis @ c
+        np.maximum(t, _LOG_U_MIN, out=t)
+        np.minimum(t, _LOG_U_MAX, out=t)
+        return np.exp(t, out=t)
 
     def normalize(self, c: np.ndarray) -> np.ndarray:
         u = self.profile(c)
@@ -154,28 +167,94 @@ class _QuotientModel:
         return out
 
     def quotient_and_gradient(self, c: np.ndarray):
-        p, d = self.pp.p, self.pp.d
+        p = self.pp.p
         u = self.profile(c)
         w = self.weights
-        uhat = self.basis.T @ (w * u)
-        grad_energy = float(np.dot(self.eigs, uhat**2))
-        d_energy = 2.0 * self.basis.T @ (w * u * (self.basis @ (self.eigs * uhat)))
-        s2 = float(np.dot(w, u**2))
-        d_s2 = 2.0 * self.basis.T @ (w * u**2)
-        p_mass = float(np.dot(w, u**p))
+        wu = w * u
+        uhat = self.basis.T @ wu
+        grad_energy = float(self.eigs.dot(uhat**2))
+        d_energy = self.basis_t2 @ (wu * (self.basis @ (self.eigs * uhat)))
+        u2 = u**2
+        s2 = float(w.dot(u2))
+        d_s2 = self.basis_t2 @ (w * u2)
+        up = u**p
+        p_mass = float(w.dot(up))
         sp = p_mass ** (2.0 / p)
-        d_sp = 2.0 * p_mass ** (2.0 / p - 1.0) * (self.basis.T @ (w * u**p))
+        d_sp = 2.0 * p_mass ** (2.0 / p - 1.0) * (self.basis.T @ (w * up))
+        d_energy *= self.energy_coef
         if self.mu_mode:
-            num = (p - 2.0) / d * grad_energy + self.coef * s2
-            d_num = (p - 2.0) / d * d_energy + self.coef * d_s2
-            den, d_den = sp, d_sp
+            num = self.energy_coef * grad_energy + self.coef * s2
+            d_s2 *= self.coef
+            d_num, den, d_den = d_energy + d_s2, sp, d_sp
         else:
-            num = (2.0 - p) / d * grad_energy + self.coef * sp
-            d_num = (2.0 - p) / d * d_energy + self.coef * d_sp
-            den, d_den = s2, d_s2
+            num = self.energy_coef * grad_energy + self.coef * sp
+            d_sp *= self.coef
+            d_num, den, d_den = d_energy + d_sp, s2, d_s2
         q = num / den
-        grad = (d_num - q * d_den) / den
-        return q, grad
+        d_den *= q
+        d_num -= d_den
+        d_num /= den
+        return q, d_num
+
+
+# L-BFGS-B settings of every descent round: memory, the relative-decrease
+# tolerance ftol = 1e-17 expressed as a multiple of the machine epsilon (the
+# form setulb takes), and the evaluation and line-search caps that
+# scipy.optimize.minimize applies by default.
+_LBFGS_MEMORY = 20
+_LBFGS_FACTR = 1.0e-17 / np.finfo(float).eps
+_LBFGS_MAXFUN = 15000
+_LBFGS_MAXLS = 20
+
+
+def _lbfgsb(fun_and_grad, x0: np.ndarray, max_iters: int, grad_tol: float):
+    """Unbounded L-BFGS-B through the reverse-communication routine setulb.
+
+    This is the loop of scipy.optimize.minimize(method="L-BFGS-B", jac=True)
+    without its per-evaluation wrappers: the same workspace and settings,
+    the same stop codes for the iteration and evaluation caps, the same
+    reuse of the last value when an evaluation repeats the previous point,
+    and the same iteration count, so every iterate is bit-identical.
+    Returns (x, f, nit, success).
+    """
+    from scipy.optimize import _lbfgsb
+
+    m = _LBFGS_MEMORY
+    n = x0.size
+    x = np.array(x0, dtype=np.float64)
+    f, g = fun_and_grad(x)
+    x_eval = x.copy()
+    nfev = 1
+    nbd = np.zeros(n, np.int32)
+    lower = np.zeros(n)
+    upper = np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task = np.zeros(2, np.int32)
+    ln_task = np.zeros(2, np.int32)
+    lsave = np.zeros(4, np.int32)
+    isave = np.zeros(44, np.int32)
+    dsave = np.zeros(29)
+    nit = 0
+    while True:
+        _lbfgsb.setulb(
+            m, x, lower, upper, nbd, f, g, _LBFGS_FACTR, grad_tol, wa, iwa,
+            task, lsave, isave, dsave, _LBFGS_MAXLS, ln_task,
+        )
+        if task[0] == 3:  # evaluate f and g at x
+            if not (x == x_eval).all():
+                f, g = fun_and_grad(x)
+                x_eval = x.copy()
+                nfev += 1
+        elif task[0] == 1:  # a new iterate
+            nit += 1
+            if nit >= max_iters:
+                task[:] = 5, 504
+            elif nfev > _LBFGS_MAXFUN:
+                task[:] = 5, 502
+        else:
+            break
+    return x, f, nit, bool(task[0] == 4)
 
 
 def _descend(model: _QuotientModel, c0: np.ndarray, max_iters: int, grad_tol: float):
@@ -188,42 +267,29 @@ def _descend(model: _QuotientModel, c0: np.ndarray, max_iters: int, grad_tol: fl
     plateaus.  The quotient is scale invariant, which leaves one exactly flat
     direction; the final normalization removes it from the reported argmin.
     """
-    from scipy.optimize import minimize
-
     # optimize in spectrally rescaled variables: without this the high-mode
     # stiffness leaves errors of order 1e-3 after thousands of iterations
     scale = 1.0 / np.sqrt(1.0 + model.eigs)
 
     def rescaled(y):
         q, g = model.quotient_and_gradient(y * scale)
-        return q, g * scale
+        g *= scale
+        return q, g
 
     y = model.normalize(c0) / scale
     nit = 0
     prev = math.inf
     converged = False
     for _ in range(6):
-        res = minimize(
-            rescaled,
-            y,
-            jac=True,
-            method="L-BFGS-B",
-            options={
-                "maxiter": max_iters,
-                "gtol": grad_tol,
-                "ftol": 1.0e-17,
-                "maxcor": 20,
-            },
-        )
-        nit += int(res.nit)
-        y = res.x
-        if prev - res.fun < 1.0e-13 * max(1.0, abs(res.fun)):
+        y, fun, round_iters, success = _lbfgsb(rescaled, y, max_iters, grad_tol)
+        nit += round_iters
+        if prev - fun < 1.0e-13 * max(1.0, abs(fun)):
             converged = True
             break
-        prev = res.fun
+        prev = fun
     c = model.normalize(y * scale)
     q, _ = model.quotient_and_gradient(c)
-    converged = converged or bool(res.success)
+    converged = converged or success
     return float(q), c, converged, nit
 
 
@@ -279,7 +345,11 @@ def best_constant(problem: RayleighProblem) -> BestConstantResult:
 
 @dataclass(frozen=True)
 class SweepCurve:
-    """Numeric optimal constant across a grid with the analytic lower bounds."""
+    """Numeric optimal constant across a grid with the analytic lower bounds.
+
+    converged and iterations hold, per grid value, the solver flag and the
+    total L-BFGS iteration count of best_constant over all its starts.
+    """
 
     pp: ParameterPoint
     lams: tuple
@@ -288,6 +358,7 @@ class SweepCurve:
     prop34: tuple | None
     converged: tuple
     seed: int
+    iterations: tuple
 
 
 def bound_curve_sweep(
@@ -309,6 +380,7 @@ def bound_curve_sweep(
     fast_range = pp.d >= 3 and 2.0 < pp.p < pp.two_star
     numeric = []
     flags = []
+    iterations = []
     thm2 = []
     prop34 = [] if fast_range else None
     for k, lam in enumerate(lams):
@@ -323,6 +395,7 @@ def bound_curve_sweep(
         result = best_constant(problem)
         numeric.append(result.value)
         flags.append(result.converged)
+        iterations.append(result.iterations)
         thm2.append(mu_lower_thm2(pp, lam) if heat_range and lam >= 1.0 else math.nan)
         if fast_range:
             prop34.append(mu_lower_prop34(pp, lam) if lam >= 1.0 else math.nan)
@@ -334,6 +407,7 @@ def bound_curve_sweep(
         prop34=None if prop34 is None else tuple(prop34),
         converged=tuple(flags),
         seed=seed,
+        iterations=tuple(iterations),
     )
 
 
@@ -356,17 +430,6 @@ def sweep_to_csv(curve: SweepCurve) -> str:
 
 def write_sweep(curve: SweepCurve, path) -> None:
     atomic_write_text(path, sweep_to_csv(curve))
-
-
-def sweep_manifest_json(curve: SweepCurve) -> str:
-    payload = {
-        "d": curve.pp.d,
-        "p": curve.pp.p,
-        "grid": list(curve.lams),
-        "seed": curve.seed,
-        "converged": list(curve.converged),
-    }
-    return json.dumps(payload, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

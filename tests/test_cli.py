@@ -111,6 +111,11 @@ class TestFigure1:
         assert set(manifest["parameters"]["columns"]) == {
             "lambda", "numeric_mu", "thm2", "prop34", "identity", "converged",
         }
+        solver = manifest["diagnostics"]
+        assert solver["lambda"] == [0.5, 1.5]
+        assert solver["converged"] == [row[5] == "1" for row in rows]
+        assert len(solver["iterations"]) == 2
+        assert all(isinstance(n, int) and n > 0 for n in solver["iterations"])
 
     def test_reruns_are_byte_identical(self, tmp_path):
         args = (

@@ -1,5 +1,6 @@
 """Exponent bookkeeping: derived constants, flow settings, admissible beta sets."""
 
+import json
 import math
 
 import numpy as np
@@ -107,6 +108,17 @@ class TestParameterPoint:
             make_parameter_point(3, 0.5)
         with pytest.raises(ValidationError):
             make_parameter_point(3, math.inf)
+
+    def test_numpy_integer_dimension(self):
+        pp = make_parameter_point(np.int64(3), 3.0)
+        assert type(pp.d) is int
+        assert pp == make_parameter_point(3, 3.0)
+        json.dumps(pp.d)
+
+    def test_rejects_non_integral_dimension(self):
+        for d in (True, np.bool_(True), 3.0, "3"):
+            with pytest.raises(ValidationError):
+                make_parameter_point(d, 3.0)
 
     def test_range_flags(self):
         assert make_parameter_point(3, 3.0).in_bakry_emery_range

@@ -10,6 +10,7 @@ from sphereineq.errors import ConvergenceError, ValidationError
 from sphereineq.exponents import make_flow_setting, make_parameter_point
 from sphereineq.flows import (
     EntropyTrace,
+    _advance,
     certify_ode_chain,
     flow_manifest_json,
     heat_evolve,
@@ -187,6 +188,16 @@ class TestNonlinearFlow:
     def test_needs_flow_setting(self):
         with pytest.raises(ValidationError):
             run_nonlinear_flow(tilted(RULE3), make_flow_config(D3P5, 1.0))
+
+    def test_step_size_underflow_raises(self):
+        # explosive growth keeps every stage positive, so only the error
+        # control can reject the step; it does until dt falls below 1e-15
+        sc = make_flow_config(D3P3, 1.0).step_control
+        stats = {"accepted_steps": 0, "rejected_steps": 0}
+        with pytest.raises(ConvergenceError, match="step size fell"):
+            _advance(lambda y: 1.0e20 * y, np.ones(4), 1.0, 0.0, 1.0e-4, sc, 1.0e-12, stats)
+        assert stats["accepted_steps"] == 0
+        assert stats["rejected_steps"] > 10
 
 
 class TestAntipodal:

@@ -12,6 +12,7 @@ from sphereineq.exponents import make_flow_setting, make_parameter_point
 from sphereineq.phi_functions import make_phi_spec
 from sphereineq.sphere_calculus import (
     AxiFunction,
+    UltrasphericalRule,
     c_q,
     ckp_distance,
     deficit,
@@ -79,6 +80,17 @@ class TestRule:
             make_rule(0, 16)
         with pytest.raises(ValidationError):
             make_rule(3, 1)
+
+    def test_dimension_matches_parameter_point(self):
+        rule = UltrasphericalRule(np.int64(3), 8)
+        assert type(rule.d) is int and rule.d == make_parameter_point(3, 3.0).d
+        assert np.array_equal(rule.nodes, make_rule(3, 8).nodes)
+        make_rule(1, 8)  # with d = 1 cached, make_rule(True, 8) must still be checked
+        for d in (True, np.bool_(True), 3.0):
+            with pytest.raises(ValidationError):
+                UltrasphericalRule(d, 8)
+            with pytest.raises(ValidationError):
+                make_rule(d, 8)
 
     def test_rules_are_shared(self):
         assert make_rule(3, 32) is make_rule(3, 32)

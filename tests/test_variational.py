@@ -22,6 +22,7 @@ from sphereineq.sphere_calculus import (
     random_band_limited_exponential,
 )
 from sphereineq.variational import (
+    _lbfgsb,
     _QuotientModel,
     best_constant,
     bound_curve_sweep,
@@ -78,6 +79,91 @@ class TestGradient:
             qm, _ = model.quotient_and_gradient(c - step)
             fd = (qp - qm) / (2.0 * h)
             assert abs(fd - grad[k]) <= 1e-6 * max(1.0, abs(grad[k]))
+
+
+def reference_quotient_and_gradient(model, c):
+    """The quotient kernel in plain, unhoisted form: the bit-level oracle."""
+    p, d = model.pp.p, model.pp.d
+    basis, w, eigs = model.basis, model.weights, model.eigs
+    u = np.exp(np.clip(basis @ c, -40.0, 40.0))
+    uhat = basis.T @ (w * u)
+    grad_energy = float(np.dot(eigs, uhat**2))
+    d_energy = 2.0 * basis.T @ (w * u * (basis @ (eigs * uhat)))
+    s2 = float(np.dot(w, u**2))
+    d_s2 = 2.0 * basis.T @ (w * u**2)
+    p_mass = float(np.dot(w, u**p))
+    sp = p_mass ** (2.0 / p)
+    d_sp = 2.0 * p_mass ** (2.0 / p - 1.0) * (basis.T @ (w * u**p))
+    if model.mu_mode:
+        num = (p - 2.0) / d * grad_energy + model.coef * s2
+        d_num = (p - 2.0) / d * d_energy + model.coef * d_s2
+        den, d_den = sp, d_sp
+    else:
+        num = (2.0 - p) / d * grad_energy + model.coef * sp
+        d_num = (2.0 - p) / d * d_energy + model.coef * d_sp
+        den, d_den = s2, d_s2
+    q = num / den
+    return q, (d_num - q * d_den) / den, u
+
+
+class TestKernelBits:
+    @pytest.mark.parametrize(
+        "pp,kwargs",
+        [
+            (D3P3, {"lam": 2.0}),
+            (D3P15, {"mu": 1.5}),
+            (make_parameter_point(2, 4.0), {"lam": 1.3}),
+            (make_parameter_point(4, 3.5), {"lam": 5.0}),
+        ],
+    )
+    def test_matches_reference_bit_for_bit(self, pp, kwargs):
+        model = _QuotientModel(make_rayleigh_problem(pp, **kwargs))
+        rng = np.random.default_rng(11)
+        decay = 1.0 + np.arange(48)
+        clipped = 0
+        for k in range(200):
+            # the larger scales push log u past +-40, into the clip
+            c = [0.3, 3.0, 30.0, 300.0][k % 4] * rng.standard_normal(48) / decay
+            clipped += bool(np.any(np.abs(model.basis @ c) > 40.0))
+            q, g = model.quotient_and_gradient(c)
+            q_ref, g_ref, u_ref = reference_quotient_and_gradient(model, c)
+            assert type(q) is float
+            assert np.float64(q).tobytes() == np.float64(q_ref).tobytes()
+            assert g.tobytes() == g_ref.tobytes()
+            assert model.profile(c).tobytes() == u_ref.tobytes()
+        assert clipped >= 50
+
+
+class TestLBFGSLoop:
+    @pytest.mark.parametrize("start", ["constant", "tilt", "random"])
+    def test_matches_scipy_minimize_bit_for_bit(self, start):
+        from scipy.optimize import minimize
+
+        model = _QuotientModel(make_rayleigh_problem(D3P3, lam=2.0))
+        scale = 1.0 / np.sqrt(1.0 + model.eigs)
+
+        def rescaled(y):
+            q, g = model.quotient_and_gradient(y * scale)
+            return q, g * scale
+
+        c0 = np.zeros(48)
+        if start == "tilt":
+            c0[1] = 0.5
+        elif start == "random":
+            c0[1:9] = 0.3 * np.random.default_rng(5).standard_normal(8)
+        y0 = model.normalize(c0) / scale
+        x, fun, nit, success = _lbfgsb(rescaled, y0, 200, 1.0e-11)
+        ref = minimize(
+            rescaled,
+            y0,
+            jac=True,
+            method="L-BFGS-B",
+            options={"maxiter": 200, "gtol": 1.0e-11, "ftol": 1.0e-17, "maxcor": 20},
+        )
+        assert x.tobytes() == ref.x.tobytes()
+        assert np.float64(fun).tobytes() == np.float64(ref.fun).tobytes()
+        assert nit == ref.nit
+        assert success == ref.success
 
 
 class TestBestConstant:
@@ -155,6 +241,17 @@ class TestSweep:
         mu = np.asarray(curve.numeric)
         second = mu[:-2] - 2.0 * mu[1:-1] + mu[2:]
         assert np.all(second <= 1e-3)
+
+    def test_keeps_solver_counters(self):
+        curve = bound_curve_sweep(D3P3, [0.5, 2.0], restarts=1, node_count=24, seed=3)
+        assert len(curve.iterations) == 2
+        for k, lam in enumerate(curve.lams):
+            result = best_constant(
+                make_rayleigh_problem(D3P3, lam=lam, restarts=1, node_count=24, seed=3 + k)
+            )
+            assert curve.numeric[k] == result.value
+            assert curve.iterations[k] == result.iterations > 0
+            assert curve.converged[k] == result.converged
 
     def test_p_below_two_rejected(self):
         with pytest.raises(ValidationError):
