@@ -474,6 +474,7 @@ def cmd_flow(args) -> int:
         tolerances=dict(report.tolerances),
         outputs=(str(trace_path), str(report_path)),
         wall_clock_seconds=time.perf_counter() - started,
+        diagnostics=dict(trace.solver),
     )
     manifest_path = _write_manifest(out_dir, stem, manifest)
 

@@ -12,9 +12,8 @@ certification pass turns a trace into per-interval inequality residuals.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +28,6 @@ __all__ = [
     "EntropyTrace",
     "FlowConfig",
     "certify_ode_chain",
-    "flow_manifest_json",
     "heat_evolve",
     "make_flow_config",
     "run_heat_flow",
@@ -84,6 +82,10 @@ def make_flow_config(
         raise ValidationError(f"safety factor must be in (0, 1], got {safety}")
     if not (0.0 < initial_dt <= max_dt):
         raise ValidationError("need 0 < initial_dt <= max_dt")
+    if not (math.isfinite(rtol) and rtol > 0.0):
+        raise ValidationError(f"rtol must be finite and positive, got {rtol}")
+    if not (math.isfinite(atol) and atol >= 0.0):
+        raise ValidationError(f"atol must be finite and nonnegative, got {atol}")
     step_control = {
         "initial_dt": float(initial_dt),
         "safety": float(safety),
@@ -109,7 +111,10 @@ class EntropyTrace:
     lyapunov is i - d phi(e) in heat mode (plain i - d e when the carre du
     champ exponent is negative) and i - d e in nonlinear mode;
     e_rate_residual is |e' + 2 i| (heat) or |e' + 2 beta^2 |grad u|^2|
-    (nonlinear), with e' from five-point finite differences.
+    (nonlinear), with e' from five-point finite differences.  solver holds
+    the Runge-Kutta work counters of a nonlinear run (accepted and rejected
+    steps, positivity halvings among the rejections, right-hand-side
+    evaluations); it is empty for the exact heat flow.
     """
 
     mode: str
@@ -121,6 +126,7 @@ class EntropyTrace:
     lyapunov: np.ndarray
     e_rate_residual: np.ndarray
     stats: dict
+    solver: dict = field(default_factory=dict)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -287,17 +293,19 @@ class _PorousMediumRHS:
         self.m = m
         self.floor = floor
         self.even_only = even_only
+        self.evaluations = 0
 
     def __call__(self, rho_vals: np.ndarray) -> np.ndarray:
-        if np.any(rho_vals <= self.floor):
+        self.evaluations += 1
+        if (rho_vals <= self.floor).any():
             raise _PositivityLoss
         c = self.analysis @ rho_vals
         rho_fine = self.synth_fine @ c
-        if np.any(rho_fine <= 0.0):
+        if (rho_fine <= 0.0).any():
             raise _PositivityLoss
-        pow_fine = rho_fine**self.m
-        c_pow = self.analysis_fine @ pow_fine
-        c_lap = self.neg_eigs * c_pow
+        rho_fine **= self.m
+        c_lap = self.analysis_fine @ rho_fine
+        c_lap *= self.neg_eigs
         if self.even_only:
             c_lap[1::2] = 0.0
         return self.synth @ c_lap
@@ -313,7 +321,6 @@ _DP_A = (
     (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
     (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
 )
-_DP_B5 = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0, 0.0)
 _DP_B4 = (
     5179.0 / 57600.0,
     0.0,
@@ -325,30 +332,63 @@ _DP_B4 = (
 )
 
 
-def _advance(rhs, y, t_target, t, dt, sc, floor, stats):
-    """Adaptive Dormand-Prince march of y from t to t_target."""
+def _nonzero(row):
+    return tuple((j, a) for j, a in enumerate(row) if a != 0.0)
+
+
+# Stage rows 2..6, the stage-7 row and the 4th-order weights as (stage index,
+# coefficient) pairs.  The 5th-order weights are the stage-7 row plus 0 * k7,
+# so y5 is the input of stage 7 and k7 = rhs(y5) is the next step's k1 (FSAL).
+_DP_STAGES = tuple(_nonzero(row) for row in _DP_A[1:6])
+_DP_Y5 = _nonzero(_DP_A[6])
+_DP_Y4 = _nonzero(_DP_B4)
+
+
+def _stage_input(y, dt, row, k, out, term):
+    """out = y + dt * (a_1 k_1 + a_2 k_2 + ...), summed left to right."""
+    (j, a), *rest = row
+    np.multiply(k[j], a, out=out)
+    for j, a in rest:
+        np.multiply(k[j], a, out=term)
+        out += term
+    out *= dt
+    out += y
+    return out
+
+
+def _advance(rhs, y, t_target, t, dt, sc, floor, stats, k1=None):
+    """Adaptive Dormand-Prince march of y from t to t_target.
+
+    k1 is rhs(y) when the caller has it (first same as last: an accepted
+    step's last stage is evaluated at its new y).  rhs must return a new
+    array.  stats counts accepted_steps, rejected_steps and, among the
+    rejections, positivity_halvings.  Returns (y, t, dt, k1).
+    """
     rtol = sc["rtol"]
     atol = sc["atol"]
     safety = sc["safety"]
     max_dt = sc["max_dt"]
     err_prev = 1.0
+    acc = np.empty_like(y)
+    term = np.empty_like(y)
+    abs_y = np.abs(y)
     while t < t_target - 1e-14 * max(1.0, t_target):
         dt = min(dt, t_target - t, max_dt)
         halvings = 0
         while True:
             try:
-                k = []
-                for row in _DP_A:
-                    yi = y
-                    if row:
-                        yi = y + dt * sum(a * ki for a, ki in zip(row, k))
-                    k.append(rhs(yi))
-                y5 = y + dt * sum(b * ki for b, ki in zip(_DP_B5, k))
-                y4 = y + dt * sum(b * ki for b, ki in zip(_DP_B4, k))
-                if np.any(y5 <= floor):
+                if k1 is None:
+                    k1 = rhs(y)
+                k = [k1]
+                for row in _DP_STAGES:
+                    k.append(rhs(_stage_input(y, dt, row, k, acc, term)))
+                y5 = _stage_input(y, dt, _DP_Y5, k, np.empty_like(y), term)
+                k.append(rhs(y5))
+                if (y5 <= floor).any():
                     raise _PositivityLoss
             except _PositivityLoss:
                 stats["rejected_steps"] += 1
+                stats["positivity_halvings"] += 1
                 halvings += 1
                 if halvings > 40:
                     raise ConvergenceError(
@@ -356,8 +396,18 @@ def _advance(rhs, y, t_target, t, dt, sc, floor, stats):
                     )
                 dt *= 0.5
                 continue
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-            err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
+            r = np.subtract(y5, _stage_input(y, dt, _DP_Y4, k, acc, term), out=acc)
+            scale = np.abs(y5)
+            np.maximum(abs_y, scale, out=scale)
+            scale *= rtol
+            scale += atol
+            r /= scale
+            r *= r
+            err = math.sqrt(r.sum() / r.size)
+            if not math.isfinite(err):
+                raise ConvergenceError(
+                    f"error estimate is {err} at t = {t:.6g}, dt = {dt:.3g}"
+                )
             if err > 1.0 and dt <= 1e-15:
                 raise ConvergenceError(
                     f"step size fell to {dt:.3g} at t = {t:.6g} with error "
@@ -367,13 +417,15 @@ def _advance(rhs, y, t_target, t, dt, sc, floor, stats):
                 factor = safety * (err + 1e-16) ** -0.14 * err_prev**0.08
                 err_prev = max(err, 1e-16)
                 y = y5
+                abs_y = np.abs(y)
+                k1 = k[-1]
                 t += dt
                 stats["accepted_steps"] += 1
                 dt = min(dt * min(max(factor, 0.2), 5.0), max_dt)
                 break
             stats["rejected_steps"] += 1
             dt *= min(max(safety * err**-0.2, 0.2), 0.9)
-    return y, t, dt
+    return y, t, dt, k1
 
 
 def run_nonlinear_flow(u0: AxiFunction, cfg: FlowConfig) -> EntropyTrace:
@@ -412,35 +464,35 @@ def run_nonlinear_flow(u0: AxiFunction, cfg: FlowConfig) -> EntropyTrace:
     mass = np.empty(n)
     lyap = np.empty(n)
     grad_u = np.empty(n)
-    stats = {
-        "mode": "nonlinear",
-        "admissible": bool(fs.admissible),
-        "m": float(fs.m),
-        "accepted_steps": 0,
-        "rejected_steps": 0,
-    }
+    steps = {"accepted_steps": 0, "rejected_steps": 0, "positivity_halvings": 0}
     rho = rho0.copy()
     t = 0.0
     dt = cfg.step_control["initial_dt"]
+    k1 = None
     for k, t_target in enumerate(times):
         if t_target > t:
-            rho, t, dt = _advance(
+            rho, t, dt, k1 = _advance(
                 rhs, rho, float(t_target), t, dt, cfg.step_control,
-                cfg.positivity_floor, stats,
+                cfg.positivity_floor, steps, k1,
             )
         u_vals = rho ** (1.0 / bp)
         w_vals = rho ** (1.0 / p)
         w = AxiFunction(rule, values=w_vals)
         mass[k] = rule.integrate(rho)
-        np2 = rule.integrate(w_vals**p) ** (2.0 / p)
-        n22 = rule.integrate(w_vals**2)
-        e[k] = (np2 - n22) / (p - 2.0)
+        e[k] = _entropy_of_normalized(w_vals, rule, p)
         i[k] = dirichlet(w)
         grad_u[k] = dirichlet(AxiFunction(rule, values=u_vals))
         lyap[k] = i[k] - pp.d * e[k]
     h = times[1] - times[0]
     residual = np.abs(_fd_derivative(e, h) + 2.0 * beta**2 * grad_u)
-    stats["final_dt"] = float(dt)
+    stats = {
+        "mode": "nonlinear",
+        "admissible": bool(fs.admissible),
+        "m": float(fs.m),
+        "accepted_steps": steps["accepted_steps"],
+        "rejected_steps": steps["rejected_steps"],
+        "final_dt": float(dt),
+    }
     return EntropyTrace(
         mode="nonlinear",
         setting=fs,
@@ -451,6 +503,7 @@ def run_nonlinear_flow(u0: AxiFunction, cfg: FlowConfig) -> EntropyTrace:
         lyapunov=_freeze(lyap),
         e_rate_residual=_freeze(residual),
         stats=stats,
+        solver={**steps, "rhs_evaluations": rhs.evaluations},
     )
 
 
@@ -578,22 +631,3 @@ def trace_to_csv(trace: EntropyTrace) -> str:
 
 def write_trace(trace: EntropyTrace, path) -> None:
     atomic_write_text(path, trace_to_csv(trace))
-
-
-def flow_manifest_json(trace: EntropyTrace, cfg: FlowConfig) -> str:
-    """JSON manifest of the run: dynamics, configuration, solver statistics."""
-    pp, beta = _setting_parts(cfg.setting)
-    payload = {
-        "mode": trace.mode,
-        "d": pp.d,
-        "p": pp.p,
-        "beta": beta,
-        "time_horizon": cfg.time_horizon,
-        "node_count": cfg.node_count,
-        "sample_count": cfg.sample_count,
-        "antipodal": cfg.antipodal,
-        "positivity_floor": cfg.positivity_floor,
-        "step_control": cfg.step_control,
-        "stats": trace.stats,
-    }
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"

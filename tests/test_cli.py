@@ -254,6 +254,7 @@ class TestFlow:
             str(tmp_path / "flow_heat_d3_p3_report.json"),
         ]
         assert manifest["tolerances"]["ode_tol"] == 1e-6
+        assert manifest["diagnostics"] == {}
 
     def test_nonlinear_run(self, tmp_path):
         config = write_config(
@@ -264,6 +265,15 @@ class TestFlow:
         assert run_cli("flow", str(config), "--out-dir", str(tmp_path)) == 0
         report = load_json(tmp_path / "flow_nonlinear_d3_p5_b1.2_report.json")
         assert report["certification"]["passed"] is True
+        assert list(report["stats"]) == [
+            "mode", "admissible", "m", "accepted_steps", "rejected_steps", "final_dt",
+        ]
+        work = load_json(tmp_path / "flow_nonlinear_d3_p5_b1.2_manifest.json")["diagnostics"]
+        assert work["accepted_steps"] == report["stats"]["accepted_steps"]
+        assert work["rejected_steps"] == report["stats"]["rejected_steps"]
+        assert work["positivity_halvings"] == 0
+        attempts = work["accepted_steps"] + work["rejected_steps"]
+        assert work["rhs_evaluations"] == 6 * attempts + 1
 
     def test_config_validation_errors(self, tmp_path):
         bad = [
@@ -280,6 +290,13 @@ class TestFlow:
         ]
         for config in bad:
             assert run_cli("flow", str(config), "--out-dir", str(tmp_path)) == 2, config
+
+        # json.loads accepts NaN; a NaN tolerance used to hang the step control
+        nan_rtol = tmp_path / "nan_rtol.json"
+        nan_rtol.write_text(write_config(tmp_path / "c8.json").read_text()[:-1] + ', "rtol": NaN}')
+        assert run_cli("flow", str(nan_rtol), "--out-dir", str(tmp_path)) == 2
+        zero_tol = write_config(tmp_path / "c9.json", rtol=0.0, atol=0.0)
+        assert run_cli("flow", str(zero_tol), "--out-dir", str(tmp_path)) == 2
 
         (tmp_path / "broken.json").write_text("{not json")
         assert run_cli("flow", str(tmp_path / "broken.json"), "--out-dir", str(tmp_path)) == 2
