@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ValidationError
 from .exponents import ParameterPoint
 from .ioutils import atomic_write_text, fmt_float
-from .phi_functions import phi_envelope
+from .phi_functions import _is_log_branch, phi_envelope
 
 __all__ = [
     "BoundCurve",
@@ -43,10 +43,6 @@ __all__ = [
     "mu_lower_prop34",
     "write_bound_curve",
 ]
-
-# Points where gamma equals 2 - p are served by a separate logarithmic branch.
-_LOG_BRANCH_TOL = 1.0e-9
-
 
 def _require_subcritical_above_two(pp: ParameterPoint, what: str) -> None:
     if pp.p <= 2.0:
@@ -91,7 +87,7 @@ def lambda_lower_thm2(pp: ParameterPoint, mu: float) -> float:
         raise ValidationError(f"lambda_lower_thm2 requires 1 <= p < 2, got p = {pp.p}")
     q = 2.0 - pp.p
     g = pp.gamma
-    if abs(g - q) < _LOG_BRANCH_TOL or g == 0.0:
+    if _is_log_branch(pp) or g == 0.0:
         return 1.0
     return float((q - g * mu ** (1.0 - q / g)) / (q - g))
 
@@ -238,7 +234,7 @@ def klt_lambda_bar_reverse(pp: ParameterPoint, mu: float) -> float:
         raise ValidationError(
             f"klt_lambda_bar_reverse requires 1 <= p < 2, got p = {pp.p}"
         )
-    if abs(pp.gamma - (2.0 - pp.p)) < _LOG_BRANCH_TOL:
+    if _is_log_branch(pp):
         raise ValidationError(
             f"p = {pp.p} sits at the degenerate exponent p_star(d = {pp.d}); "
             "the reverse eigenvalue bound is not defined there"

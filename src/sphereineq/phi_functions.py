@@ -58,6 +58,10 @@ _DEFAULT_NODES = 64
 _DEFAULT_BETA_SAMPLES = 64
 _DEFAULT_BETA_CAP = 1e3
 
+# Budget, in float64 elements, of one (beta, s, node) block of flow-member
+# evaluations (1 MiB); a single beta always makes a block.
+_MEMBER_BLOCK_ELEMENTS = 1 << 17
+
 # exp argument above which exp(x) - 1 and exp(x) are indistinguishable and
 # the plain power form should be used instead of the expm1 form
 _EXP_SWITCH = 0.5
@@ -212,6 +216,50 @@ def _gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (t + 1.0), 0.5 * w
 
 
+def _entropy_array(p: float, s) -> tuple[bool, np.ndarray]:
+    """(whether s is a scalar, s as a checked 1-D array in [0, 1/(p-2)))."""
+    scalar = np.isscalar(s) or (isinstance(s, np.ndarray) and s.ndim == 0)
+    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    if np.any(~np.isfinite(s_arr)) or np.any(s_arr < 0.0):
+        raise ValidationError("entropy arguments must be finite and >= 0")
+    if np.any(s_arr >= _s_sup(p)):
+        raise ValidationError(
+            f"entropy arguments must stay below 1/(p-2) = {_s_sup(p)}"
+        )
+    return scalar, s_arr
+
+
+def _member_values(p: float, exponent_a: np.ndarray, prefactor_c: np.ndarray,
+                   nodes: np.ndarray, weights: np.ndarray,
+                   s_arr: np.ndarray) -> np.ndarray:
+    """phi_beta(s_arr) for each flow member (a, c), one row per member.
+
+    Members are evaluated in blocks of _MEMBER_BLOCK_ELEMENTS. The blocks
+    never split s: the quadrature sum is a BLAS matrix-vector product whose
+    rounding depends on the row count, so a member's values would change.
+    """
+    x_s = 1.0 - (p - 2.0) * s_arr
+    z = s_arr[:, None] * nodes[None, :]
+    x_z = 1.0 - (p - 2.0) * z
+    # c X_s^a expm1(a log(X_z/X_s)) = c (X_z^a - X_s^a), stable when the
+    # two powers nearly coincide (z near s, or a near 0)
+    log_xs = np.log(x_s)
+    log_ratio = np.log(x_z) - log_xs[:, None]
+    out = np.empty((exponent_a.size, s_arr.size))
+    step = max(1, _MEMBER_BLOCK_ELEMENTS // max(1, log_ratio.size))
+    buf = np.empty((min(step, exponent_a.size),) + log_ratio.shape)
+    for lo in range(0, exponent_a.size, step):
+        a = exponent_a[lo:lo + step, None]
+        c = prefactor_c[lo:lo + step, None]
+        xs_a = np.exp(a * log_xs)
+        exponent = np.multiply(a[:, :, None], log_ratio, out=buf[:len(a)])
+        np.expm1(exponent, out=exponent)
+        exponent *= (c * xs_a)[:, :, None]
+        kernel = np.exp(np.minimum(exponent, 709.0, out=exponent), out=exponent)
+        np.multiply(s_arr, kernel @ weights, out=out[lo:lo + step])
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class PhiBetaQuadrature:
     """Gauss--Legendre evaluator for the nonlinear-flow improvement function.
@@ -234,25 +282,10 @@ class PhiBetaQuadrature:
 
     def value(self, s):
         """phi_beta at scalar or array s in [0, 1/(p-2))."""
-        p = self.fs.pp.p
-        scalar = np.isscalar(s) or (isinstance(s, np.ndarray) and s.ndim == 0)
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        if np.any(~np.isfinite(s_arr)) or np.any(s_arr < 0.0):
-            raise ValidationError("entropy arguments must be finite and >= 0")
-        if np.any(s_arr >= _s_sup(p)):
-            raise ValidationError(
-                f"entropy arguments must stay below 1/(p-2) = {_s_sup(p)}"
-            )
-        x_s = 1.0 - (p - 2.0) * s_arr
-        z = s_arr[:, None] * self.nodes[None, :]
-        x_z = 1.0 - (p - 2.0) * z
-        # c X_s^a expm1(a log(X_z/X_s)) = c (X_z^a - X_s^a), stable when the
-        # two powers nearly coincide (z near s, or a near 0)
-        log_ratio = np.log(x_z) - np.log(x_s)[:, None]
-        xs_a = np.exp(self.exponent_a * np.log(x_s))[:, None]
-        exponent = self.prefactor_c * xs_a * np.expm1(self.exponent_a * log_ratio)
-        kernel = np.exp(np.minimum(exponent, 709.0))
-        vals = s_arr * (kernel @ self.weights)
+        scalar, s_arr = _entropy_array(self.fs.pp.p, s)
+        vals = _member_values(self.fs.pp.p, np.array([self.exponent_a]),
+                              np.array([self.prefactor_c]), self.nodes, self.weights,
+                              s_arr)[0]
         return float(vals[0]) if scalar else vals
 
 
@@ -329,6 +362,38 @@ def envelope_beta_samples(pp: ParameterPoint,
     return sorted(set(values))
 
 
+@dataclass(frozen=True, eq=False)
+class _BetaTable:
+    """Per-point data of the envelope: one row per sampled beta != 1."""
+
+    exponent_a: np.ndarray
+    prefactor_c: np.ndarray
+    has_beta_one: bool
+    nodes: np.ndarray
+    weights: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _beta_table(pp: ParameterPoint, beta_samples: int, node_count: int,
+                beta_cap: float) -> _BetaTable:
+    exponent_a, prefactor_c, has_beta_one = [], [], False
+    for beta in envelope_beta_samples(pp, beta_samples, beta_cap):
+        if beta == 1.0:
+            has_beta_one = True
+            continue
+        fs = make_flow_setting(pp, beta)
+        if not fs.admissible:
+            # roundoff at clipped component endpoints can push gamma(beta)
+            # a hair below zero; such beta contribute phi_beta ~ s anyway
+            continue
+        quad = make_phi_beta_quadrature(fs, node_count)
+        exponent_a.append(quad.exponent_a)
+        prefactor_c.append(quad.prefactor_c)
+    nodes, weights = _gauss_legendre_01(node_count)
+    return _BetaTable(exponent_a=np.array(exponent_a), prefactor_c=np.array(prefactor_c),
+                      has_beta_one=has_beta_one, nodes=nodes, weights=weights)
+
+
 def phi_envelope(pp: ParameterPoint, s,
                  beta_samples: int = _DEFAULT_BETA_SAMPLES,
                  node_count: int = _DEFAULT_NODES,
@@ -337,6 +402,8 @@ def phi_envelope(pp: ParameterPoint, s,
 
     Accepts scalar or array s; the envelope dominates every sampled member,
     in particular the heat-flow function whenever beta = 1 is admissible.
+    All sampled beta are evaluated in one pass over a cached table, through
+    the kernel of PhiBetaQuadrature.value, so each member keeps its bits.
     """
     p = pp.p
     if not (2.0 < p):
@@ -345,20 +412,15 @@ def phi_envelope(pp: ParameterPoint, s,
         raise ValidationError(
             f"the envelope is defined for p < 2d/(d-2) = {pp.two_star}, got p = {p}"
         )
-    scalar = np.isscalar(s) or (isinstance(s, np.ndarray) and np.ndim(s) == 0)
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    best = np.full(s_arr.shape, -np.inf)
-    for beta in envelope_beta_samples(pp, beta_samples, beta_cap):
-        if beta == 1.0:
-            vals = np.array([phi_closed_form(pp, float(si)) for si in s_arr])
-        else:
-            fs = make_flow_setting(pp, beta)
-            if not fs.admissible:
-                # roundoff at clipped component endpoints can push gamma(beta)
-                # a hair below zero; such beta contribute phi_beta ~ s anyway
-                continue
-            vals = make_phi_beta_quadrature(fs, node_count).value(s_arr)
-        np.maximum(best, vals, out=best)
+    table = _beta_table(pp, beta_samples, node_count, beta_cap)
+    scalar, s_arr = _entropy_array(p, s)
+    if table.exponent_a.size:
+        best = _member_values(p, table.exponent_a, table.prefactor_c, table.nodes,
+                              table.weights, s_arr).max(axis=0)
+    else:
+        best = np.full(s_arr.shape, -np.inf)
+    if table.has_beta_one:
+        np.maximum(best, [phi_closed_form(pp, float(si)) for si in s_arr], out=best)
     return float(best[0]) if scalar else best
 
 

@@ -437,6 +437,81 @@ def _nu(s: np.ndarray, q: float) -> np.ndarray:
     return out
 
 
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+
+
+def _bounded_minimum(func, lo: float, hi: float, xatol: float) -> float:
+    """Smallest value found by Brent's bounded minimization of func on [lo, hi].
+
+    Step for step the golden-section/parabolic loop of
+    scipy.optimize.minimize_scalar(method="bounded"), with its default cap of
+    500 evaluations, so the same iterates and the same minimum come out,
+    without importing scipy.optimize.
+    """
+    a, b = lo, hi
+    fulc = a + _GOLDEN_MEAN * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN_MEAN * e
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return fx
+
+
 @lru_cache(maxsize=64)
 def c_q(q: float, scan_points: int = 4096) -> float:
     """Infimum over t > 0, t != 1 of (t^q - 1 - q(t-1)) / nu_q(t - 1).
@@ -452,7 +527,6 @@ def c_q(q: float, scan_points: int = 4096) -> float:
         raise ValidationError(f"c_q requires q > 1, got {q}")
     if scan_points < 64:
         raise ValidationError(f"scan_points too small: {scan_points}")
-    from scipy.optimize import minimize_scalar
 
     def bregman(t):
         # t^q - 1 - q (t - 1), written through expm1/log1p near t = 1 where
@@ -483,13 +557,7 @@ def c_q(q: float, scan_points: int = 4096) -> float:
     lo = t1[mask][max(i1 - 1, 0)]
     hi = t1[mask][min(i1 + 1, len(v1) - 1)]
     if hi > lo and not (lo < 1.0 < hi):
-        res = minimize_scalar(
-            lambda t: float(quad_branch(t)),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1.0e-12},
-        )
-        candidates.append(float(res.fun))
+        candidates.append(_bounded_minimum(lambda t: float(quad_branch(t)), lo, hi, 1.0e-12))
 
     t2 = np.geomspace(2.0, 1.0e6, scan_points)
     v2 = power_branch(t2)
@@ -498,13 +566,7 @@ def c_q(q: float, scan_points: int = 4096) -> float:
     lo = t2[max(i2 - 1, 0)]
     hi = t2[min(i2 + 1, scan_points - 1)]
     if hi > lo:
-        res = minimize_scalar(
-            lambda t: float(power_branch(t)),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1.0e-12},
-        )
-        candidates.append(float(res.fun))
+        candidates.append(_bounded_minimum(lambda t: float(power_branch(t)), lo, hi, 1.0e-12))
 
     return min(candidates)
 

@@ -471,15 +471,20 @@ print(json.dumps([code, [m for m in ("scipy.optimize", "scipy.linalg") if m in s
 """
 
 
-def run_fresh(*argv: str):
-    """(exit code, heavy scipy modules loaded) for `main(argv)` in a new process."""
+def python_fresh(code: str, *argv: str) -> str:
+    """Last line that `python -c code argv` prints, run with this package on the path."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
-        [sys.executable, "-c", _LAZY_IMPORT_PROBE, *argv],
+        [sys.executable, "-c", code, *argv],
         capture_output=True, text=True, env=env, check=True,
     )
-    return tuple(json.loads(result.stdout.strip().splitlines()[-1]))
+    return result.stdout.strip().splitlines()[-1]
+
+
+def run_fresh(*argv: str):
+    """(exit code, heavy scipy modules loaded) for `main(argv)` in a new process."""
+    return tuple(json.loads(python_fresh(_LAZY_IMPORT_PROBE, *argv)))
 
 
 class TestLazyScipyImports:
@@ -489,3 +494,22 @@ class TestLazyScipyImports:
     @pytest.mark.parametrize("argv", [["constants", "--d", "3", "--p", "3"], ["figure2"]])
     def test_light_commands_load_neither(self, argv, tmp_path):
         assert run_fresh(*argv, "--out-dir", str(tmp_path)) == (0, [])
+
+    def test_verify_ckp_loads_no_optimize(self, tmp_path):
+        # scipy.linalg still comes in through scipy.special.roots_jacobi
+        argv = ["verify", "ckp", "--d", "3", "--p", "3", "--n", "5", "--out-dir", str(tmp_path)]
+        assert run_fresh(*argv) == (0, ["scipy.linalg"])
+
+    def test_battery_cycle_skips_optimize(self, tmp_path):
+        # one cycle of the benchmark's battery workload, whose envelope and
+        # CKP checks used to load scipy.optimize
+        root = Path(cli.__file__).resolve().parents[2]
+        probe = (
+            "import sys; from pathlib import Path\n"
+            f"sys.path.insert(0, {str(root / 'bench')!r})\n"
+            "import workloads\n"
+            f"cycle = workloads.SETUPS['battery'](1, Path({str(root)!r}), Path({str(tmp_path)!r}), None)\n"
+            "problems = [p for op in cycle(0) for p in op.check(op.run())]\n"
+            "print(len(problems), 'scipy.optimize' in sys.modules)\n"
+        )
+        assert python_fresh(probe).split() == ["0", "False"]

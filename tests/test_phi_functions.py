@@ -1,9 +1,12 @@
 """Improvement functions: closed form, log branch, flow family, envelope."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphereineq import (
     InvariantViolation,
@@ -11,6 +14,7 @@ from sphereineq import (
     make_flow_setting,
     make_parameter_point,
 )
+from sphereineq import phi_functions
 from sphereineq.phi_functions import (
     envelope_beta_samples,
     make_phi_beta_quadrature,
@@ -334,6 +338,131 @@ class TestEnvelope:
         arr = phi_envelope(pp, np.array([0.1, 0.2]))
         assert arr[0] == pytest.approx(phi_envelope(pp, 0.1), rel=1e-14)
         assert arr[1] == pytest.approx(phi_envelope(pp, 0.2), rel=1e-14)
+
+
+def reference_quadrature_value(quad, s_arr):
+    """PhiBetaQuadrature.value for one beta on a 1-D array, kept as the bit-level oracle."""
+    p = quad.fs.pp.p
+    x_s = 1.0 - (p - 2.0) * s_arr
+    z = s_arr[:, None] * quad.nodes[None, :]
+    x_z = 1.0 - (p - 2.0) * z
+    log_ratio = np.log(x_z) - np.log(x_s)[:, None]
+    xs_a = np.exp(quad.exponent_a * np.log(x_s))[:, None]
+    exponent = quad.prefactor_c * xs_a * np.expm1(quad.exponent_a * log_ratio)
+    kernel = np.exp(np.minimum(exponent, 709.0))
+    return s_arr * (kernel @ quad.weights)
+
+
+def reference_phi_envelope(pp, s, beta_samples=64, node_count=64, beta_cap=1e3):
+    """phi_envelope as one quadrature per sampled beta, kept as the bit-level oracle."""
+    scalar = np.isscalar(s) or (isinstance(s, np.ndarray) and np.ndim(s) == 0)
+    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    best = np.full(s_arr.shape, -np.inf)
+    for beta in envelope_beta_samples(pp, beta_samples, beta_cap):
+        if beta == 1.0:
+            vals = np.array([phi_closed_form(pp, float(si)) for si in s_arr])
+        else:
+            fs = make_flow_setting(pp, beta)
+            if not fs.admissible:
+                continue
+            vals = reference_quadrature_value(make_phi_beta_quadrature(fs, node_count), s_arr)
+        np.maximum(best, vals, out=best)
+    return float(best[0]) if scalar else best
+
+
+# (d, p, whether beta = 1 is admissible there)
+ENVELOPE_POINTS = [(2, 4.0, True), (2, 10.0, False), (3, 3.0, True), (3, 5.0, False),
+                   (4, 3.5, True), (5, 3.2, False)]
+
+
+def envelope_s_values(p, rng):
+    sup = 1.0 / (p - 2.0)
+    edge = [0.0, 5e-324, 1e-300, 1e-12, 1e-6, 0.5 * sup, (1.0 - 1e-9) * sup,
+            np.nextafter(sup, 0.0)]
+    return np.concatenate([edge, rng.uniform(0.0, sup, 12)])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+class TestEnvelopeBits:
+    @pytest.mark.parametrize("d, p, has_beta_one", ENVELOPE_POINTS)
+    def test_scalar_matches_reference(self, d, p, has_beta_one):
+        pp = make_parameter_point(d, p)
+        assert (1.0 in envelope_beta_samples(pp)) == has_beta_one
+        for s in envelope_s_values(p, np.random.default_rng(d * 100 + int(p * 10))):
+            assert phi_envelope(pp, float(s)) == reference_phi_envelope(pp, float(s))
+            assert phi_envelope(pp, np.float64(s)) == reference_phi_envelope(pp, float(s))
+
+    @pytest.mark.parametrize("d, p, has_beta_one", ENVELOPE_POINTS)
+    def test_array_matches_reference(self, d, p, has_beta_one):
+        pp = make_parameter_point(d, p)
+        s = envelope_s_values(p, np.random.default_rng(d * 100 + int(p * 10)))
+        np.testing.assert_array_equal(phi_envelope(pp, s), reference_phi_envelope(pp, s))
+        assert phi_envelope(pp, np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("d, p, beta", [(3, 5.0, -3.0), (3, 5.0, 10.0), (2, 4.0, 1.5),
+                                             (3, 3.0, 0.9)])
+    def test_single_member_matches_reference(self, d, p, beta):
+        pp = make_parameter_point(d, p)
+        quad = make_phi_beta_quadrature(make_flow_setting(pp, beta))
+        s = envelope_s_values(p, np.random.default_rng(7))
+        np.testing.assert_array_equal(quad.value(s), reference_quadrature_value(quad, s))
+        for si in s:
+            assert quad.value(float(si)) == reference_quadrature_value(quad, np.array([si]))[0]
+
+    @pytest.mark.parametrize("n", [256, 2100])
+    def test_array_spanning_several_blocks(self, n):
+        # 256 points split the beta axis into blocks; at 2100 points a single
+        # beta is over the block budget
+        pp = make_parameter_point(3, 5.0)
+        s = np.linspace(0.0, (1.0 - 1e-9) / 3.0, n)
+        n_beta = len(envelope_beta_samples(pp))
+        assert n * 64 * n_beta > 2 * phi_functions._MEMBER_BLOCK_ELEMENTS
+        np.testing.assert_array_equal(phi_envelope(pp, s), reference_phi_envelope(pp, s))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        point=st.sampled_from([(d, p) for d, p, _ in ENVELOPE_POINTS] + [(1, 4.0), (3, 2.05)]),
+        frac=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    )
+    def test_property_matches_reference(self, point, frac):
+        d, p = point
+        pp = make_parameter_point(d, p)
+        s = frac / (p - 2.0)
+        if s >= 1.0 / (p - 2.0):
+            return
+        assert phi_envelope(pp, s) == reference_phi_envelope(pp, s)
+        np.testing.assert_array_equal(phi_envelope(pp, np.array([s, 0.5 * s])),
+                                      reference_phi_envelope(pp, np.array([s, 0.5 * s])))
+
+    @pytest.mark.parametrize("bad", [-1e-12, -1.0, math.nan, math.inf, 1.0 / 3.0, 1.0])
+    def test_rejects_bad_entropy_arguments(self, bad):
+        pp = make_parameter_point(3, 5.0)
+        with pytest.raises(ValidationError):
+            phi_envelope(pp, bad)
+        with pytest.raises(ValidationError):
+            phi_envelope(pp, np.array([0.1, bad]))
+
+    def test_beta_table_is_built_once_per_point(self):
+        pp = make_parameter_point(3, 4.2)
+        phi_functions._beta_table.cache_clear()
+        phi_envelope(pp, 0.1)
+        phi_envelope(pp, np.array([0.2, 0.3]))
+        info = phi_functions._beta_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_grid_memory_stays_bounded(self):
+        # the bounds module's 256-point grid; one (beta, s, node) cube for all
+        # beta at once would take 16 MB per temporary
+        pp = make_parameter_point(3, 5.0)
+        s = np.linspace(0.0, (1.0 - 1e-9) / 3.0, 256)
+        phi_envelope(pp, 0.1)
+        tracemalloc.start()
+        try:
+            phi_envelope(pp, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestInverse:

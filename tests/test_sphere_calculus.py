@@ -12,6 +12,7 @@ from sphereineq.exponents import make_flow_setting, make_parameter_point
 from sphereineq.phi_functions import make_phi_spec
 from sphereineq.sphere_calculus import (
     AxiFunction,
+    _bounded_minimum,
     UltrasphericalRule,
     c_q,
     ckp_distance,
@@ -26,6 +27,65 @@ from sphereineq.sphere_calculus import (
 )
 
 DEFICIT_TOL = 1.0e-8
+
+
+def reference_c_q(q, scan_points=4096):
+    """c_q as it was computed with scipy.optimize.minimize_scalar, kept as the oracle."""
+    from scipy.optimize import minimize_scalar
+
+    q = float(q)
+
+    def bregman(t):
+        t = np.asarray(t, dtype=float)
+        h = t - 1.0
+        small = np.abs(h) <= 0.5
+        out = np.empty_like(h)
+        out[small] = np.expm1(q * np.log1p(h[small])) - q * h[small]
+        out[~small] = t[~small] ** q - 1.0 - q * h[~small]
+        return out
+
+    def quad_branch(t):
+        t = np.asarray(t, dtype=float)
+        return bregman(t) / (t - 1.0) ** 2
+
+    def power_branch(t):
+        t = np.asarray(t, dtype=float)
+        return bregman(t) / (t - 1.0) ** q
+
+    candidates = [0.5 * q * (q - 1.0), q - 1.0, 1.0]
+
+    t1 = np.linspace(1.0e-9, 2.0, scan_points)
+    mask = np.abs(t1 - 1.0) > 1.0e-5
+    v1 = quad_branch(t1[mask])
+    i1 = int(np.argmin(v1))
+    candidates.append(float(v1[i1]))
+    lo = t1[mask][max(i1 - 1, 0)]
+    hi = t1[mask][min(i1 + 1, len(v1) - 1)]
+    if hi > lo and not (lo < 1.0 < hi):
+        res = minimize_scalar(
+            lambda t: float(quad_branch(t)),
+            bounds=(lo, hi),
+            method="bounded",
+            options={"xatol": 1.0e-12},
+        )
+        candidates.append(float(res.fun))
+
+    t2 = np.geomspace(2.0, 1.0e6, scan_points)
+    v2 = power_branch(t2)
+    i2 = int(np.argmin(v2))
+    candidates.append(float(v2[i2]))
+    lo = t2[max(i2 - 1, 0)]
+    hi = t2[min(i2 + 1, scan_points - 1)]
+    if hi > lo:
+        res = minimize_scalar(
+            lambda t: float(power_branch(t)),
+            bounds=(lo, hi),
+            method="bounded",
+            options={"xatol": 1.0e-12},
+        )
+        candidates.append(float(res.fun))
+
+    return min(candidates)
 
 
 def random_even_exponential(rule, rng, degree=8, scale=0.5):
@@ -467,3 +527,25 @@ class TestKernelConstant:
         for _ in range(2):
             with pytest.raises(ValidationError):
                 c_q(1.0, 512)
+
+    @pytest.mark.parametrize("scan_points", [64, 256, 4096])
+    def test_matches_minimize_scalar_bit_for_bit(self, scan_points):
+        qs = np.concatenate([np.linspace(1.0 + 1.0e-6, 6.0, 60), [1.5, 2.0, 3.0, 6.0]])
+        for q in qs:
+            assert c_q.__wrapped__(float(q), scan_points) == reference_c_q(float(q), scan_points)
+
+    def test_bounded_minimum_follows_scipy(self):
+        from scipy.optimize import minimize_scalar
+
+        cases = [
+            (lambda t: (t - 0.3) ** 2, -1.0, 2.0, 1.0e-12),
+            (lambda t: math.sin(3.0 * t) + 0.1 * t * t, -2.0, 2.0, 1.0e-10),
+            (lambda t: abs(t - 1.0 / 3.0), 0.0, 1.0, 1.0e-12),
+            (lambda t: math.exp(t) - 2.0 * t, 0.0, 0.5, 1.0e-5),  # minimum at the bound
+            (lambda t: -t, 0.0, 1.0, 1.0e-12),
+            (lambda t: 1.0, 0.0, 1.0, 1.0e-12),
+        ]
+        for func, lo, hi, xatol in cases:
+            res = minimize_scalar(func, bounds=(lo, hi), method="bounded",
+                                  options={"xatol": xatol})
+            assert _bounded_minimum(func, lo, hi, xatol) == float(res.fun)
