@@ -7,8 +7,8 @@ For the family of inequalities
 on the sphere with uniform probability measure, this module provides computable
 lower estimates of the optimal curve mu(lam) (subcritical p > 2) and of its
 inverse lam(mu) (p < 2), together with the eigenvalue bounds for Schrodinger
-operators that follow from them, sharper constants under antipodal symmetry or
-a vanishing first moment of |u|^p, and a curve container with CSV/JSON export.
+operators that follow from them, and sharper constants under antipodal
+symmetry or a vanishing first moment of |u|^p.
 
 All bounds are strict improvements on the trivial diagonal mu = lam near
 lam = 1 except at the points where the carre-du-champ exponent degenerates.
@@ -16,32 +16,26 @@ lam = 1 except at the points where the carre-du-champ exponent degenerates.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ValidationError
 from .exponents import ParameterPoint
-from .ioutils import atomic_write_text, fmt_float
 from .phi_functions import _is_log_branch, phi_envelope
 
 __all__ = [
-    "BoundCurve",
     "afst_constants",
     "antipodal_constant",
-    "bound_curve",
-    "bound_curve_csv",
-    "bound_curve_json",
+    "axis_moment_log_constant",
     "c_dp",
     "klt_lambda_bar_reverse",
     "klt_lambda_bar_schrodinger",
     "lambda_lower_thm2",
     "mu_lower_envelope",
     "mu_lower_prop34",
-    "write_bound_curve",
+    "mu_lower_thm2",
 ]
 
 def _require_subcritical_above_two(pp: ParameterPoint, what: str) -> None:
@@ -266,6 +260,11 @@ def antipodal_constant(pp: ParameterPoint) -> float:
     return float(d / (p - 2.0) * factor)
 
 
+def _default_lambda_star(d: int) -> float:
+    """Spectral level used when none is given: just above d, where the gain starts."""
+    return d * (1.0 + 1.0e-6)
+
+
 def afst_constants(pp: ParameterPoint, lambda_star: float | None = None) -> tuple[float, float]:
     """Improved constants under a vanishing first moment of |u|^p.
 
@@ -273,7 +272,8 @@ def afst_constants(pp: ParameterPoint, lambda_star: float | None = None) -> tupl
     (p-norm)^2 - (2-norm)^2 gap for 2 < p < 2# when every degree-one moment
     of |u|^p vanishes and the quotient is localized above level lambda_star;
     lambda_star = d gives back the plain constant d/(p-2).  log_lambda is the
-    improved constant for the p = 2 logarithmic entropy version.
+    improved constant for the p = 2 logarithmic entropy version,
+    axis_moment_log_constant(d).
     """
     d = float(pp.d)
     if pp.d < 2:
@@ -283,7 +283,7 @@ def afst_constants(pp: ParameterPoint, lambda_star: float | None = None) -> tupl
             f"afst_constants requires 2 < p < {pp.two_sharp}, got p = {pp.p}"
         )
     if lambda_star is None:
-        lambda_star = d * (1.0 + 1.0e-6)
+        lambda_star = _default_lambda_star(pp.d)
     lambda_star = float(lambda_star)
     if not math.isfinite(lambda_star) or lambda_star < d:
         raise ValidationError(
@@ -293,10 +293,17 @@ def afst_constants(pp: ParameterPoint, lambda_star: float | None = None) -> tupl
     gns_constant = (
         d + ((d - 1.0) ** 2 / (d * (d + 2.0))) * (pp.two_sharp - p) * (lambda_star - d)
     ) / (p - 2.0)
-    log_lambda = d + (2.0 / d) * (4.0 * d - 1.0) / (
-        2.0 * (d + 3.0) + math.sqrt(2.0 * (d + 3.0) * (2.0 * d + 3.0))
+    return float(gns_constant), axis_moment_log_constant(pp.d)
+
+
+def axis_moment_log_constant(d: int) -> float:
+    """Explicit improved level in the logarithmic bound under a vanishing axis moment."""
+    if d < 2:
+        raise ValidationError(f"the explicit log-case level needs d >= 2, got d = {d}")
+    dd = float(d)
+    return dd + (2.0 / dd) * (4.0 * dd - 1.0) / (
+        2.0 * (dd + 3.0) + math.sqrt(2.0 * (dd + 3.0) * (2.0 * dd + 3.0))
     )
-    return float(gns_constant), float(log_lambda)
 
 
 def c_dp(pp: ParameterPoint) -> float:
@@ -312,91 +319,3 @@ def c_dp(pp: ParameterPoint) -> float:
         pp.sphere_volume
     )
     return float(pp.d * math.exp(log_term) / (pp.p - 2.0))
-
-
-@dataclass(frozen=True)
-class BoundCurve:
-    """Sampled lower-bound curve with its validity window and origin label.
-
-    samples is a tuple of (abscissa, value) pairs; validity is the closed or
-    half-open abscissa interval on which the producing formula is proved.
-    """
-
-    name: str
-    d: int
-    p: float
-    samples: tuple[tuple[float, float], ...]
-    provenance: str
-    validity: tuple[float, float]
-
-
-_CURVE_KINDS = {
-    "mu_thm2": (mu_lower_thm2, "explicit heat-flow bound", (1.0, math.inf)),
-    "lambda_thm2": (lambda_lower_thm2, "explicit fast-diffusion bound", (1.0, math.inf)),
-    "mu_prop34": (mu_lower_prop34, "critical-interpolation bound", (1.0, math.inf)),
-    "mu_envelope": (mu_lower_envelope, "nonlinear-flow envelope bound", (1.0, math.inf)),
-    "klt_schrodinger": (
-        klt_lambda_bar_schrodinger,
-        "eigenvalue bound, attractive potential",
-        (0.0, math.inf),
-    ),
-    "klt_reverse": (
-        klt_lambda_bar_reverse,
-        "eigenvalue bound, repulsive potential",
-        (0.0, math.inf),
-    ),
-}
-
-
-def bound_curve(pp: ParameterPoint, kind: str, abscissas) -> BoundCurve:
-    """Evaluate one named bound on a grid of abscissas and package the result."""
-    if kind not in _CURVE_KINDS:
-        raise ValidationError(
-            f"unknown curve kind {kind!r}; choose from {sorted(_CURVE_KINDS)}"
-        )
-    fn, provenance, validity = _CURVE_KINDS[kind]
-    grid = np.asarray(abscissas, dtype=float).ravel()
-    if grid.size == 0:
-        raise ValidationError("abscissas must be nonempty")
-    if not np.all(np.isfinite(grid)):
-        raise ValidationError("abscissas must be finite")
-    samples = tuple((float(a), float(fn(pp, a))) for a in grid)
-    return BoundCurve(
-        name=kind,
-        d=pp.d,
-        p=pp.p,
-        samples=samples,
-        provenance=provenance,
-        validity=validity,
-    )
-
-
-def bound_curve_csv(curve: BoundCurve) -> str:
-    """Render a curve as CSV with header abscissa,value,name,theorem."""
-    lines = ["abscissa,value,name,theorem"]
-    for a, v in curve.samples:
-        lines.append(f"{fmt_float(a)},{fmt_float(v)},{curve.name},{curve.provenance}")
-    return "\n".join(lines) + "\n"
-
-
-def bound_curve_json(curve: BoundCurve) -> str:
-    """Render a curve and its metadata as a JSON document."""
-    payload = {
-        "name": curve.name,
-        "d": curve.d,
-        "p": curve.p,
-        "provenance": curve.provenance,
-        "validity": [x if math.isfinite(x) else "inf" for x in curve.validity],
-        "samples": [[a, v] for a, v in curve.samples],
-    }
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-
-
-def write_bound_curve(curve: BoundCurve, path, fmt: str = "csv") -> None:
-    """Write a curve to disk atomically in CSV or JSON form."""
-    if fmt == "csv":
-        atomic_write_text(path, bound_curve_csv(curve))
-    elif fmt == "json":
-        atomic_write_text(path, bound_curve_json(curve))
-    else:
-        raise ValidationError(f"unknown format {fmt!r}; use 'csv' or 'json'")

@@ -519,7 +519,8 @@ def _random_even_function(rule, rng, degree: int = 4, scale: float = 0.4) -> Axi
     return AxiFunction(rule, values=np.exp(scale * g))
 
 
-def _suite_gns(pp, rule, rng, n, tol) -> list[dict]:
+def _suite_gns(pp, rule, rng, args) -> list[dict]:
+    n, tol = args.n, args.tol
     functions = [random_band_limited_exponential(rule, rng) for _ in range(n)]
     checks = []
     base_id = "log_sobolev" if pp.p == 2.0 else "gns"
@@ -531,7 +532,8 @@ def _suite_gns(pp, rule, rng, n, tol) -> list[dict]:
     return checks
 
 
-def _suite_ckp(pp, rule, rng, n, tol) -> list[dict]:
+def _suite_ckp(pp, rule, rng, args) -> list[dict]:
+    n, tol = args.n, args.tol
     margins = []
     worst = math.inf
     for _ in range(n):
@@ -542,7 +544,8 @@ def _suite_ckp(pp, rule, rng, n, tol) -> list[dict]:
     return [_margin_entry("ckp_gap_dominates_distance", margins, worst)]
 
 
-def _suite_euclidean(pp, rule, rng, n, tol) -> list[dict]:
+def _suite_euclidean(pp, rule, rng, args) -> list[dict]:
+    n, tol = args.n, args.tol
     sphere_functions = [random_band_limited_exponential(rule, rng) for _ in range(n)]
     flat_functions = [push_forward(u) for u in sphere_functions]
     checks = [
@@ -579,14 +582,15 @@ def _suite_euclidean(pp, rule, rng, n, tol) -> list[dict]:
     return checks
 
 
-def _suite_antipodal(pp, rule, rng, n, tol) -> list[dict]:
+def _suite_antipodal(pp, rule, rng, args) -> list[dict]:
+    n, tol = args.n, args.tol
     functions = [_random_even_function(rule, rng) for _ in range(n)]
     return [
         _deficit_battery("antipodal", functions, tol, lambda u: deficit(u, "antipodal", pp))
     ]
 
 
-def _suite_flow(pp, args) -> list[dict]:
+def _suite_flow(pp, rule, rng, args) -> list[dict]:
     cfg = make_flow_config(pp, 1.0, node_count=args.n_nodes)
     rule = make_rule(pp.d, cfg.node_count)
     u0 = AxiFunction(rule, values=1.0 + 0.1 * rule.nodes)
@@ -603,7 +607,24 @@ def _suite_flow(pp, args) -> list[dict]:
     ]
 
 
-_SUITES = ("gns", "ckp", "euclidean", "antipodal", "flow", "all")
+def _euclidean_skip(pp) -> str | None:
+    if pp.d < 2:
+        return "the flat-space correspondence needs d >= 2"
+    if pp.p == 2.0:
+        return "the weighted inequality needs p != 2"
+    return None
+
+
+# (suite, reason it does not apply at pp or None, battery), in run order; the
+# batteries share one random stream, so the order fixes the report bytes.
+_VERIFY_SUITES = (
+    ("gns", lambda pp: None, _suite_gns),
+    ("ckp", lambda pp: "the entropy gap degenerates at p = 2" if pp.p == 2.0 else None, _suite_ckp),
+    ("euclidean", _euclidean_skip, _suite_euclidean),
+    ("antipodal", lambda pp: "the antipodal bound needs d >= 3" if pp.d < 3 else None, _suite_antipodal),
+    ("flow", lambda pp: None, _suite_flow),
+)
+_SUITES = tuple(name for name, _, _ in _VERIFY_SUITES) + ("all",)
 
 
 def cmd_verify(args) -> int:
@@ -617,52 +638,18 @@ def cmd_verify(args) -> int:
     rule = make_rule(pp.d, args.n_nodes)
     rng = np.random.default_rng(args.seed)
 
-    wanted = list(_SUITES[:-1]) if args.suite == "all" else [args.suite]
     checks: list[dict] = []
     skipped: list[dict] = []
-    for suite in wanted:
-        if suite == "gns":
-            checks.extend(_suite_gns(pp, rule, rng, args.n, args.tol))
-        elif suite == "ckp":
-            if pp.p == 2.0:
-                reason = "the entropy gap degenerates at p = 2"
-            else:
-                reason = None
-            if reason:
-                if args.suite == "all":
-                    skipped.append({"name": suite, "reason": reason})
-                else:
-                    raise ValidationError(f"suite 'ckp' does not apply: {reason}")
-            else:
-                checks.extend(_suite_ckp(pp, rule, rng, args.n, args.tol))
-        elif suite == "euclidean":
-            if pp.d < 2:
-                reason = "the flat-space correspondence needs d >= 2"
-            elif pp.p == 2.0:
-                reason = "the weighted inequality needs p != 2"
-            else:
-                reason = None
-            if reason:
-                if args.suite == "all":
-                    skipped.append({"name": suite, "reason": reason})
-                else:
-                    raise ValidationError(f"suite 'euclidean' does not apply: {reason}")
-            else:
-                checks.extend(_suite_euclidean(pp, rule, rng, args.n, args.tol))
-        elif suite == "antipodal":
-            if pp.d < 3:
-                reason = "the antipodal bound needs d >= 3"
-            else:
-                reason = None
-            if reason:
-                if args.suite == "all":
-                    skipped.append({"name": suite, "reason": reason})
-                else:
-                    raise ValidationError(f"suite 'antipodal' does not apply: {reason}")
-            else:
-                checks.extend(_suite_antipodal(pp, rule, rng, args.n, args.tol))
-        elif suite == "flow":
-            checks.extend(_suite_flow(pp, args))
+    for suite, skip_reason, battery in _VERIFY_SUITES:
+        if args.suite not in (suite, "all"):
+            continue
+        reason = skip_reason(pp)
+        if reason is None:
+            checks.extend(battery(pp, rule, rng, args))
+        elif args.suite == "all":
+            skipped.append({"name": suite, "reason": reason})
+        else:
+            raise ValidationError(f"suite {suite!r} does not apply: {reason}")
 
     passed = all(c["passed"] for c in checks)
     report = {

@@ -21,14 +21,20 @@ from .errors import ConvergenceError, ValidationError
 from .exponents import FlowSetting, ParameterPoint
 from .ioutils import atomic_write_text, fmt_float
 from .phi_functions import make_phi_beta_quadrature, phi
-from .sphere_calculus import AxiFunction, dirichlet, lp_norm, make_rule
+from .sphere_calculus import (
+    AxiFunction,
+    _check_even,
+    _log_entropy,
+    _spectral_energy,
+    lp_norm,
+    make_rule,
+)
 
 __all__ = [
     "CertificationReport",
     "EntropyTrace",
     "FlowConfig",
     "certify_ode_chain",
-    "heat_evolve",
     "make_flow_config",
     "run_heat_flow",
     "run_nonlinear_flow",
@@ -173,41 +179,28 @@ def _validate_initial(u0: AxiFunction, cfg: FlowConfig, pp: ParameterPoint) -> N
     if not u0.is_positive:
         raise ValidationError("initial data must be strictly positive")
     if cfg.antipodal:
-        vals = u0.values
-        scale = float(np.max(np.abs(vals))) or 1.0
-        if float(np.max(np.abs(vals - vals[::-1]))) > 1e-10 * scale:
-            raise ValidationError("antipodal run needs even initial data")
-
-
-def heat_evolve(u0: AxiFunction, pp: ParameterPoint, t: float) -> AxiFunction:
-    """Exact heat-flow step: evolve w = u0^p spectrally and return w^(1/p)."""
-    if t < 0.0:
-        raise ValidationError(f"time must be >= 0, got {t}")
-    if not u0.is_positive:
-        raise ValidationError("initial data must be strictly positive")
-    rule = u0.rule
-    p = pp.p
-    w = rule.to_coefficients(u0.values**p)
-    w_t = w * np.exp(-rule.eigenvalues * t)
-    vals = rule.to_values(w_t)
-    if np.any(vals <= 0.0):
-        raise ConvergenceError(
-            "spectral reconstruction lost positivity along the heat flow"
-        )
-    return AxiFunction(rule, values=vals ** (1.0 / p))
+        _check_even(u0.values)
 
 
 def _entropy_of_normalized(u_vals, rule, p) -> float:
-    """Entropy when the p-norm is one by construction; log form at p = 2."""
+    """Entropy when the p-norm is one by construction; log form at p = 2.
+
+    For p != 2 this is I_p^(2/p) - I_2 over p - 2, not the lp_norm(u, p)**2 -
+    lp_norm(u, 2)**2 of sphere_calculus.entropy_fisher: the two round
+    differently, and this form keeps the bits of the recorded traces.
+    """
     if p == 2.0:
-        u2 = u_vals**2
-        mass = rule.integrate(u2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(u2 > 0.0, u2 * np.log(u2 / mass), 0.0)
-        return 0.5 * float(rule.integrate(terms))
+        return 0.5 * _log_entropy(u_vals, rule)
     np2 = rule.integrate(np.abs(u_vals) ** p) ** (2.0 / p)
     n22 = rule.integrate(u_vals**2)
     return float((np2 - n22) / (p - 2.0))
+
+
+def _grid_energy(rule, values: np.ndarray) -> float:
+    """Squared gradient norm of grid values, rejecting non-finite ones."""
+    if not np.isfinite(values).all():
+        raise ValidationError("values must be finite")
+    return _spectral_energy(rule, rule.to_coefficients(values))
 
 
 def run_heat_flow(u0: AxiFunction, cfg: FlowConfig) -> EntropyTrace:
@@ -245,9 +238,8 @@ def run_heat_flow(u0: AxiFunction, cfg: FlowConfig) -> EntropyTrace:
                 f"positivity lost in spectral reconstruction at t = {t}"
             )
         u_vals = w_vals ** (1.0 / p)
-        u = AxiFunction(rule, values=u_vals)
+        i[k] = _grid_energy(rule, u_vals)
         e[k] = _entropy_of_normalized(u_vals, rule, p)
-        i[k] = dirichlet(u)
         mass[k] = rule.integrate(w_vals)
         lyap[k] = i[k] - pp.d * (phi(pp, max(e[k], 0.0)) if gamma_ok else e[k])
     h = times[1] - times[0]
@@ -297,11 +289,11 @@ class _PorousMediumRHS:
 
     def __call__(self, rho_vals: np.ndarray) -> np.ndarray:
         self.evaluations += 1
-        if (rho_vals <= self.floor).any():
+        if np.fmin.reduce(rho_vals) <= self.floor:
             raise _PositivityLoss
         c = self.analysis @ rho_vals
         rho_fine = self.synth_fine @ c
-        if (rho_fine <= 0.0).any():
+        if np.fmin.reduce(rho_fine) <= 0.0:
             raise _PositivityLoss
         rho_fine **= self.m
         c_lap = self.analysis_fine @ rho_fine
@@ -384,7 +376,7 @@ def _advance(rhs, y, t_target, t, dt, sc, floor, stats, k1=None):
                     k.append(rhs(_stage_input(y, dt, row, k, acc, term)))
                 y5 = _stage_input(y, dt, _DP_Y5, k, np.empty_like(y), term)
                 k.append(rhs(y5))
-                if (y5 <= floor).any():
+                if np.fmin.reduce(y5) <= floor:
                     raise _PositivityLoss
             except _PositivityLoss:
                 stats["rejected_steps"] += 1
@@ -475,13 +467,11 @@ def run_nonlinear_flow(u0: AxiFunction, cfg: FlowConfig) -> EntropyTrace:
                 rhs, rho, float(t_target), t, dt, cfg.step_control,
                 cfg.positivity_floor, steps, k1,
             )
-        u_vals = rho ** (1.0 / bp)
         w_vals = rho ** (1.0 / p)
-        w = AxiFunction(rule, values=w_vals)
+        i[k] = _grid_energy(rule, w_vals)
+        grad_u[k] = _grid_energy(rule, rho ** (1.0 / bp))
         mass[k] = rule.integrate(rho)
         e[k] = _entropy_of_normalized(w_vals, rule, p)
-        i[k] = dirichlet(w)
-        grad_u[k] = dirichlet(AxiFunction(rule, values=u_vals))
         lyap[k] = i[k] - pp.d * e[k]
     h = times[1] - times[0]
     residual = np.abs(_fd_derivative(e, h) + 2.0 * beta**2 * grad_u)

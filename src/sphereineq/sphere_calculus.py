@@ -11,7 +11,6 @@ distance estimates that control how far a function is from the constants.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -19,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import eval_jacobi, gammaln, roots_jacobi
 
-from .bounds import afst_constants, antipodal_constant
+from .bounds import _default_lambda_star, afst_constants, antipodal_constant
 from .errors import ValidationError
 from .exponents import ParameterPoint, validate_dimension
 from .phi_functions import PhiSpec, phi
@@ -33,8 +32,6 @@ __all__ = [
     "deficit",
     "dirichlet",
     "entropy_fisher",
-    "function_from_json",
-    "function_to_json",
     "lp_norm",
     "make_rule",
     "random_band_limited_exponential",
@@ -42,6 +39,16 @@ __all__ = [
 
 # Numeric slack for the evenness and vanishing-moment preconditions.
 _SYMMETRY_TOL = 1.0e-10
+
+
+def _inverse_mass(d: int) -> float:
+    """1 / integral of (1 - z^2)^(d/2 - 1) over (-1, 1), from the Beta function.
+
+    Scales raw Gauss-Jacobi weights for that measure (or for the measure
+    times (1 + z)/(1 - z)) to the normalized sphere measure.
+    """
+    log_mass = 0.5 * math.log(math.pi) + gammaln(0.5 * d) - gammaln(0.5 * (d + 1))
+    return math.exp(-log_mass)
 
 
 class UltrasphericalRule:
@@ -63,8 +70,7 @@ class UltrasphericalRule:
         self.n = int(n)
         a = 0.5 * d - 1.0
         nodes, raw_weights = roots_jacobi(n, a, a)
-        log_mass = 0.5 * math.log(math.pi) + gammaln(0.5 * d) - gammaln(0.5 * (d + 1))
-        weights = raw_weights * math.exp(-log_mass)
+        weights = raw_weights * _inverse_mass(d)
         nodes.setflags(write=False)
         weights.setflags(write=False)
         self.nodes = nodes
@@ -186,14 +192,6 @@ class AxiFunction:
             vals.setflags(write=False)
             self._values = vals
 
-    @classmethod
-    def from_values(cls, rule: UltrasphericalRule, values) -> "AxiFunction":
-        return cls(rule, values=values)
-
-    @classmethod
-    def from_coefficients(cls, rule: UltrasphericalRule, coefficients) -> "AxiFunction":
-        return cls(rule, coefficients=coefficients)
-
     @property
     def values(self) -> np.ndarray:
         return self._values
@@ -219,39 +217,6 @@ class AxiFunction:
         return f"AxiFunction(d={self.rule.d}, n={self.rule.n})"
 
 
-def function_to_json(u: AxiFunction, include_nodes: bool = False) -> str:
-    """Serialize an AxiFunction to JSON with fields d, n, values, coefficients."""
-    payload = {
-        "d": u.rule.d,
-        "n": u.rule.n,
-        "values": [float(v) for v in u.values],
-        "coefficients": [float(c) for c in u.coefficients],
-    }
-    if include_nodes:
-        payload["nodes"] = [float(z) for z in u.rule.nodes]
-    return json.dumps(payload) + "\n"
-
-
-def function_from_json(text: str) -> AxiFunction:
-    """Rebuild an AxiFunction from JSON; nodes, if present, are cross-checked."""
-    payload = json.loads(text)
-    for key in ("d", "n"):
-        if key not in payload:
-            raise ValidationError(f"missing field {key!r} in function JSON")
-    rule = make_rule(int(payload["d"]), int(payload["n"]))
-    if "nodes" in payload:
-        nodes = np.asarray(payload["nodes"], dtype=float)
-        if nodes.size != rule.n or not np.allclose(
-            nodes, rule.nodes, rtol=0.0, atol=1e-12
-        ):
-            raise ValidationError("stored nodes do not match the regenerated rule")
-    if "values" in payload:
-        return AxiFunction(rule, values=payload["values"])
-    if "coefficients" in payload:
-        return AxiFunction(rule, coefficients=payload["coefficients"])
-    raise ValidationError("function JSON needs values or coefficients")
-
-
 def lp_norm(u: AxiFunction, q: float) -> float:
     """L^q norm of u under the uniform probability measure."""
     q = float(q)
@@ -260,21 +225,25 @@ def lp_norm(u: AxiFunction, q: float) -> float:
     return float(u.rule.integrate(np.abs(u.values) ** q) ** (1.0 / q))
 
 
+def _spectral_energy(rule: UltrasphericalRule, c: np.ndarray) -> float:
+    """Squared gradient norm sum k(k+d-1) c_k^2 of the coefficients c."""
+    return float(np.dot(rule.eigenvalues, c * c))
+
+
 def dirichlet(u: AxiFunction) -> float:
     """Squared gradient norm, computed spectrally as sum k(k+d-1) c_k^2."""
-    c = u.coefficients
-    return float(np.dot(u.rule.eigenvalues, c * c))
+    return _spectral_energy(u.rule, u.coefficients)
 
 
-def _log_entropy(u: AxiFunction) -> tuple[float, float]:
-    """Return (integral of u^2 log(u^2 / |u|_2^2), |u|_2^2)."""
-    u2 = u.values**2
-    mass = u.rule.integrate(u2)
+def _log_entropy(values: np.ndarray, rule: UltrasphericalRule) -> float:
+    """Integral of u^2 log(u^2 / |u|_2^2) for u given at the nodes."""
+    u2 = values**2
+    mass = rule.integrate(u2)
     if mass <= 0.0:
         raise ValidationError("log-entropy needs a nonzero function")
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(u2 > 0.0, u2 * np.log(u2 / mass), 0.0)
-    return float(u.rule.integrate(terms)), float(mass)
+    return float(rule.integrate(terms))
 
 
 def entropy_fisher(u: AxiFunction, p: float) -> tuple[float, float]:
@@ -289,8 +258,7 @@ def entropy_fisher(u: AxiFunction, p: float) -> tuple[float, float]:
         raise ValidationError(f"exponent p must be finite and >= 1, got {p}")
     i = dirichlet(u)
     if p == 2.0:
-        log_ent, _ = _log_entropy(u)
-        return 0.5 * log_ent, i
+        return 0.5 * _log_entropy(u.values, u.rule), i
     np2 = lp_norm(u, p) ** 2
     n22 = lp_norm(u, 2.0) ** 2
     return (np2 - n22) / (p - 2.0), i
@@ -318,19 +286,20 @@ def _check_moment_free(u: AxiFunction, p: float) -> None:
         )
 
 
-def _check_even(u: AxiFunction) -> None:
-    vals = u.values
+def _check_even(vals: np.ndarray) -> None:
     scale = float(np.max(np.abs(vals))) or 1.0
     if float(np.max(np.abs(vals - vals[::-1]))) > _SYMMETRY_TOL * scale:
         raise ValidationError("evenness precondition failed: u(z) != u(-z)")
 
 
-def _require_pp(pp: ParameterPoint | None, u: AxiFunction, what: str) -> ParameterPoint:
+def _require_pp(pp: ParameterPoint | None, d: int, what: str) -> ParameterPoint:
+    """pp, checked to exist and to live in the dimension d of the function."""
     if pp is None:
         raise ValidationError(f"{what} needs a parameter point")
-    if pp.d != u.rule.d:
+    if pp.d != d:
         raise ValidationError(
-            f"parameter point dimension {pp.d} does not match rule dimension {u.rule.d}"
+            f"{what}: parameter point dimension {pp.d} does not match the "
+            f"function's dimension {d}"
         )
     return pp
 
@@ -357,20 +326,21 @@ def deficit(
     d = float(u.rule.d)
     i = dirichlet(u)
     if inequality_id == "gns":
-        pp = _require_pp(pp, u, "gns")
+        pp = _require_pp(pp, u.rule.d, "gns")
         if pp.p == 2.0:
             raise ValidationError("gns requires p != 2; use log_sobolev at p = 2")
         e, _ = entropy_fisher(u, pp.p)
         rhs = d * e
         inputs = {"d": pp.d, "p": pp.p}
     elif inequality_id == "log_sobolev":
-        if pp is not None and pp.p != 2.0:
-            raise ValidationError("log_sobolev requires p = 2")
-        log_ent, _ = _log_entropy(u)
-        rhs = 0.5 * d * log_ent
+        if pp is not None:
+            _require_pp(pp, u.rule.d, "log_sobolev")
+            if pp.p != 2.0:
+                raise ValidationError("log_sobolev requires p = 2")
+        rhs = 0.5 * d * _log_entropy(u.values, u.rule)
         inputs = {"d": u.rule.d, "p": 2.0}
     elif inequality_id == "improved_gns":
-        pp = _require_pp(pp, u, "improved_gns")
+        pp = _require_pp(pp, u.rule.d, "improved_gns")
         if pp.p > pp.two_sharp:
             raise ValidationError(
                 f"improved_gns requires p <= {pp.two_sharp}, got p = {pp.p}"
@@ -385,31 +355,25 @@ def deficit(
         pp = phi_spec.pp if pp is None else pp
         if pp != phi_spec.pp:
             raise ValidationError("phi_spec parameter point disagrees with pp")
-        _require_pp(pp, u, "improved_phi")
+        _require_pp(pp, u.rule.d, "improved_phi")
         e, _ = entropy_fisher(u, pp.p)
         npow = lp_norm(u, pp.p) ** 2
         rhs = d * npow * phi_spec.value(e / npow)
         inputs = {"d": pp.d, "p": pp.p, "variant": phi_spec.variant}
     elif inequality_id == "afst":
-        pp = _require_pp(pp, u, "afst")
+        pp = _require_pp(pp, u.rule.d, "afst")
         _check_moment_free(u, pp.p)
         constant, _ = afst_constants(pp, lambda_star)
         e, _ = entropy_fisher(u, pp.p)
         rhs = constant * (pp.p - 2.0) * e
-        inputs = {
-            "d": pp.d,
-            "p": pp.p,
-            "lambda_star": lambda_star
-            if lambda_star is not None
-            else pp.d * (1.0 + 1.0e-6),
-        }
+        level = _default_lambda_star(pp.d) if lambda_star is None else lambda_star
+        inputs = {"d": pp.d, "p": pp.p, "lambda_star": level}
     elif inequality_id == "antipodal":
-        pp = _require_pp(pp, u, "antipodal")
-        _check_even(u)
+        pp = _require_pp(pp, u.rule.d, "antipodal")
+        _check_even(u.values)
         constant = antipodal_constant(pp)
         if pp.p == 2.0:
-            log_ent, _ = _log_entropy(u)
-            rhs = constant * log_ent
+            rhs = constant * _log_entropy(u.values, u.rule)
         else:
             e, _ = entropy_fisher(u, pp.p)
             rhs = constant * (pp.p - 2.0) * e

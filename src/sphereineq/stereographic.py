@@ -13,24 +13,24 @@ moment-constrained forms with their logarithmic limit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betaln, eval_jacobi, gammaln, roots_jacobi
+from scipy.special import betaln, eval_jacobi, roots_jacobi
 
-from .bounds import afst_constants, c_dp
+from .bounds import _default_lambda_star, afst_constants, axis_moment_log_constant, c_dp
 from .errors import ValidationError
 from .exponents import ParameterPoint, sphere_surface
-from .ioutils import atomic_write_text, fmt_float
 from .phi_functions import _is_log_branch
 from .sphere_calculus import (
     AxiFunction,
     Deficit,
     _check_moment_free,
+    _inverse_mass,
     _log_entropy,
+    _require_pp,
     dirichlet,
     make_rule,
 )
@@ -45,19 +45,12 @@ __all__ = [
     "euclidean_norms",
     "pull_back",
     "push_forward",
-    "radial_from_csv",
-    "radial_from_json",
     "radial_profile_from_samples",
     "radial_second_moment",
-    "radial_to_csv",
-    "radial_to_json",
-    "write_radial",
 ]
 
-# Relative slack when the |x|^2-weighted mass must match the equality
-# profile, and when a stored radial grid is compared with the regenerated one.
+# Relative slack when the |x|^2-weighted mass must match the equality profile.
 _MOMENT_TOL = 1.0e-8
-_GRID_TOL = 1.0e-12
 
 
 def _require_flat_dimension(d: int) -> None:
@@ -214,8 +207,7 @@ def _second_moment_rule(d: int, n: int):
         raw_hat[:, k] = eval_jacobi(k, a, a, z_hat)
     norms = np.sqrt(np.sum(rule.weights[:, None] * raw_nodes**2, axis=0))
     basis_hat = raw_hat / norms
-    log_mass = 0.5 * math.log(math.pi) + gammaln(0.5 * d) - gammaln(0.5 * (d + 1))
-    w_hat = w_hat * math.exp(-log_mass)
+    w_hat = w_hat * _inverse_mass(d)
     w_hat.setflags(write=False)
     basis_hat.setflags(write=False)
     return w_hat, basis_hat
@@ -246,29 +238,9 @@ def equality_profile_second_moment(d: int) -> float:
     )
 
 
-def axis_moment_log_constant(d: int) -> float:
-    """Explicit improved level in the logarithmic bound under a vanishing axis moment."""
-    if d < 2:
-        raise ValidationError(f"the explicit log-case level needs d >= 2, got d = {d}")
-    dd = float(d)
-    return dd + (2.0 / dd) * (4.0 * dd - 1.0) / (
-        2.0 * (dd + 3.0) + math.sqrt(2.0 * (dd + 3.0) * (2.0 * dd + 3.0))
-    )
-
-
 # ---------------------------------------------------------------------------
 # Deficits
 # ---------------------------------------------------------------------------
-
-
-def _require_pp(v: RadialEuclideanFunction, pp: ParameterPoint | None, what: str) -> ParameterPoint:
-    if pp is None:
-        raise ValidationError(f"{what} needs a parameter point")
-    if pp.d != v.d:
-        raise ValidationError(
-            f"parameter point dimension {pp.d} does not match profile dimension {v.d}"
-        )
-    return pp
 
 
 def _check_matched_moment(v: RadialEuclideanFunction) -> tuple[float, float]:
@@ -310,7 +282,7 @@ def euclidean_deficit(
         p = 2 moment conditions; log_constant overrides the explicit level.
     """
     if inequality_id == "weighted_gns":
-        pp = _require_pp(v, pp, "weighted_gns")
+        pp = _require_pp(pp, v.d, "weighted_gns")
         if pp.p == 2.0:
             raise ValidationError(
                 "weighted_gns requires p != 2; use moment_constrained_log or "
@@ -325,7 +297,7 @@ def euclidean_deficit(
         rhs = c_dp(pp) * pterm
         inputs = {"d": pp.d, "p": pp.p}
     elif inequality_id == "stability":
-        pp = _require_pp(v, pp, "stability")
+        pp = _require_pp(pp, v.d, "stability")
         if not (2.0 < pp.p < pp.two_sharp):
             raise ValidationError(
                 f"stability requires 2 < p < {pp.two_sharp}, got p = {pp.p}"
@@ -343,7 +315,7 @@ def euclidean_deficit(
         rhs = (pp.gamma / (pp.p - 2.0)) * 0.5 * c_dp(pp) * gap * gap / pterm
         inputs = {"d": pp.d, "p": pp.p, "gamma": pp.gamma}
     elif inequality_id == "sharper_stability":
-        pp = _require_pp(v, pp, "sharper_stability")
+        pp = _require_pp(pp, v.d, "sharper_stability")
         if not pp.in_bakry_emery_range:
             raise ValidationError(
                 "sharper_stability requires p != 2 with p <= "
@@ -378,7 +350,7 @@ def euclidean_deficit(
             )
         inputs = {"d": pp.d, "p": pp.p, "gamma": pp.gamma, "kappa_p": pp.kappa_p}
     elif inequality_id == "moment_constrained":
-        pp = _require_pp(v, pp, "moment_constrained")
+        pp = _require_pp(pp, v.d, "moment_constrained")
         if pp.d < 3:
             raise ValidationError(
                 "moment_constrained needs d >= 3: the matching moment "
@@ -406,20 +378,15 @@ def euclidean_deficit(
         inputs = {
             "d": pp.d,
             "p": pp.p,
-            "lambda_star": lambda_star
-            if lambda_star is not None
-            else pp.d * (1.0 + 1.0e-6),
+            "lambda_star": _default_lambda_star(pp.d) if lambda_star is None else lambda_star,
             "moment": moment,
             "moment_target": target,
         }
     elif inequality_id == "moment_constrained_log":
-        if pp is not None and pp.p != 2.0:
-            raise ValidationError("moment_constrained_log requires p = 2")
-        if pp is not None and pp.d != v.d:
-            raise ValidationError(
-                f"parameter point dimension {pp.d} does not match profile "
-                f"dimension {v.d}"
-            )
+        if pp is not None:
+            _require_pp(pp, v.d, "moment_constrained_log")
+            if pp.p != 2.0:
+                raise ValidationError("moment_constrained_log requires p = 2")
         d = float(v.d)
         if v.d < 3:
             raise ValidationError(
@@ -435,7 +402,7 @@ def euclidean_deficit(
         if weighted_2 <= 0.0:
             raise ValidationError("moment_constrained_log needs a nonzero profile")
         surface = sphere_surface(v.d)
-        log_ent, _ = _log_entropy(v.sphere)
+        log_ent = _log_entropy(v.sphere.values, v.sphere.rule)
         lhs = diri
         rhs = d * (d - 2.0) * weighted_2 + 0.5 * level * surface * log_ent
         inputs = {
@@ -458,68 +425,3 @@ def euclidean_deficit(
         inequality_id=inequality_id,
         inputs=inputs,
     )
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def radial_to_csv(v: RadialEuclideanFunction) -> str:
-    lines = ["r,v"]
-    for radius, value in zip(v.r, v.values):
-        lines.append(f"{fmt_float(radius)},{fmt_float(value)}")
-    return "\n".join(lines) + "\n"
-
-
-def radial_from_csv(text: str, d: int) -> RadialEuclideanFunction:
-    """Rebuild a profile from CSV; the r column is checked against the grid."""
-    lines = [line for line in text.strip().splitlines() if line]
-    if not lines or lines[0] != "r,v":
-        raise ValidationError("radial CSV must start with the header 'r,v'")
-    radii = []
-    vals = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValidationError(f"malformed radial CSV row: {line!r}")
-        radii.append(float(parts[0]))
-        vals.append(float(parts[1]))
-    profile = radial_profile_from_samples(d, vals)
-    if not np.allclose(profile.r, np.asarray(radii), rtol=_GRID_TOL, atol=_GRID_TOL):
-        raise ValidationError("stored radii do not match the regenerated grid")
-    return profile
-
-
-def radial_to_json(v: RadialEuclideanFunction) -> str:
-    payload = {
-        "d": v.d,
-        "n": v.node_count,
-        "grid": "r = sqrt((1 + z)/(1 - z)) at the quadrature nodes z",
-        "r": [float(x) for x in v.r],
-        "values": [float(x) for x in v.values],
-    }
-    return json.dumps(payload) + "\n"
-
-
-def radial_from_json(text: str) -> RadialEuclideanFunction:
-    payload = json.loads(text)
-    for key in ("d", "values"):
-        if key not in payload:
-            raise ValidationError(f"missing field {key!r} in radial profile JSON")
-    profile = radial_profile_from_samples(int(payload["d"]), payload["values"])
-    if "r" in payload and not np.allclose(
-        profile.r, np.asarray(payload["r"], dtype=float), rtol=_GRID_TOL, atol=_GRID_TOL
-    ):
-        raise ValidationError("stored radii do not match the regenerated grid")
-    return profile
-
-
-def write_radial(v: RadialEuclideanFunction, path, fmt: str = "csv") -> None:
-    """Write the profile to path as CSV or JSON through an atomic replace."""
-    if fmt == "csv":
-        atomic_write_text(path, radial_to_csv(v))
-    elif fmt == "json":
-        atomic_write_text(path, radial_to_json(v))
-    else:
-        raise ValidationError(f"unknown radial format {fmt!r}; use csv or json")

@@ -25,7 +25,7 @@ from .bounds import (
 )
 from .errors import ValidationError
 from .exponents import ParameterPoint, make_parameter_point
-from .ioutils import atomic_write_text, fmt_float
+from .ioutils import fmt_float
 from .sphere_calculus import (
     AxiFunction,
     lp_norm,
@@ -46,7 +46,6 @@ __all__ = [
     "make_schrodinger_problem",
     "principal_eigenvalue",
     "sweep_to_csv",
-    "write_sweep",
 ]
 
 
@@ -426,10 +425,6 @@ def sweep_to_csv(curve: SweepCurve) -> str:
         cells.append("1" if curve.converged[k] else "0")
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def write_sweep(curve: SweepCurve, path) -> None:
-    atomic_write_text(path, sweep_to_csv(curve))
 
 
 # ---------------------------------------------------------------------------

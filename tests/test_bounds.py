@@ -1,18 +1,13 @@
 """Tests for the explicit lower bounds and their brute-force characterizations."""
 
-import json
 import math
 
 import numpy as np
 import pytest
 
 from sphereineq.bounds import (
-    BoundCurve,
     afst_constants,
     antipodal_constant,
-    bound_curve,
-    bound_curve_csv,
-    bound_curve_json,
     c_dp,
     klt_lambda_bar_reverse,
     klt_lambda_bar_schrodinger,
@@ -363,53 +358,20 @@ class TestEuclideanConstant:
 
 class TestBoundCurve:
     def test_samples_match_function(self):
+        # grid samples (numpy floats) give the same plain float as scalar calls
         pp = make_parameter_point(3, 3.0)
-        grid = [1.0, 2.0, 5.0]
-        curve = bound_curve(pp, "mu_thm2", grid)
-        assert curve.name == "mu_thm2"
-        assert curve.d == 3 and curve.p == 3.0
-        for (a, v), lam in zip(curve.samples, grid):
-            assert a == lam
-            assert v == mu_lower_thm2(pp, lam)
+        grid = np.array([1.0, 2.0, 5.0])
+        for fn in (mu_lower_thm2, mu_lower_prop34):
+            for a, lam in zip(grid, [1.0, 2.0, 5.0]):
+                value = fn(pp, a)
+                assert type(value) is float
+                assert value == fn(pp, lam)
 
     def test_normalization_and_monotonicity_invariants(self):
         pp = make_parameter_point(3, 3.0)
         grid = np.linspace(1.0, 20.0, 100)
-        for kind in ("mu_thm2", "mu_prop34"):
-            curve = bound_curve(pp, kind, grid)
-            vals = [v for _, v in curve.samples]
+        for fn in (mu_lower_thm2, mu_lower_prop34):
+            vals = [fn(pp, lam) for lam in grid]
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-            assert all(v <= a + 1e-12 for (a, v) in curve.samples)
-        thm2 = bound_curve(pp, "mu_thm2", [1.0])
-        assert thm2.samples[0][1] == pytest.approx(1.0, abs=1e-12)
-
-    def test_csv_round_trip(self):
-        pp = make_parameter_point(3, 3.0)
-        curve = bound_curve(pp, "mu_thm2", [1.0, 2.0])
-        text = bound_curve_csv(curve)
-        lines = text.strip().split("\n")
-        assert lines[0] == "abscissa,value,name,theorem"
-        assert len(lines) == 3
-        fields = lines[2].split(",")
-        assert float(fields[0]) == 2.0
-        assert float(fields[1]) == mu_lower_thm2(pp, 2.0)
-        assert fields[2] == "mu_thm2"
-        assert fields[3] == "explicit heat-flow bound"
-
-    def test_json_round_trip(self):
-        pp = make_parameter_point(3, 1.5)
-        curve = bound_curve(pp, "lambda_thm2", [1.0, 2.0, 3.0])
-        payload = json.loads(bound_curve_json(curve))
-        assert payload["name"] == "lambda_thm2"
-        assert payload["d"] == 3
-        assert payload["validity"] == [1.0, "inf"]
-        assert payload["samples"][1] == [2.0, lambda_lower_thm2(pp, 2.0)]
-
-    def test_rejections(self):
-        pp = make_parameter_point(3, 3.0)
-        with pytest.raises(ValidationError):
-            bound_curve(pp, "no_such_kind", [1.0])
-        with pytest.raises(ValidationError):
-            bound_curve(pp, "mu_thm2", [])
-        with pytest.raises(ValidationError):
-            bound_curve(pp, "mu_thm2", [math.nan])
+            assert all(v <= lam + 1e-12 for lam, v in zip(grid, vals))
+        assert mu_lower_thm2(pp, 1.0) == pytest.approx(1.0, abs=1e-12)

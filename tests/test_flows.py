@@ -16,14 +16,13 @@ from sphereineq.flows import (
     _PorousMediumRHS,
     _PositivityLoss,
     certify_ode_chain,
-    heat_evolve,
     make_flow_config,
     run_heat_flow,
     run_nonlinear_flow,
     trace_to_csv,
     write_trace,
 )
-from sphereineq.sphere_calculus import AxiFunction, make_rule
+from sphereineq.sphere_calculus import AxiFunction, dirichlet, make_rule
 
 D3P3 = make_parameter_point(3, 3.0)
 D3P5 = make_parameter_point(3, 5.0)
@@ -89,18 +88,6 @@ class TestHeatFlow:
         report = certify_ode_chain(trace)
         assert report.passed
 
-    @pytest.mark.parametrize("d", [2, 3, 5])
-    def test_single_mode_exact_decay(self, d):
-        pp = make_parameter_point(d, 3.0)
-        rule = make_rule(d, 32)
-        w0 = 1.0 + 0.1 * rule.basis[:, 1]
-        u0 = AxiFunction(rule, values=w0 ** (1.0 / 3.0))
-        c0 = rule.to_coefficients(w0)[1]
-        for t in (0.1, 0.5, 1.3):
-            ut = heat_evolve(u0, pp, t)
-            c1 = rule.to_coefficients(ut.values**3)[1]
-            assert abs(c1 / c0 - math.exp(-d * t)) < 1e-12
-
     def test_battery_d3_p3(self):
         trace = run_heat_flow(tilted(RULE3), make_flow_config(D3P3, 1.0))
         assert np.max(np.abs(trace.mass - trace.mass[0])) < 1e-10 * trace.mass[0]
@@ -153,13 +140,6 @@ class TestHeatFlow:
         sign_flip = AxiFunction(RULE3, values=RULE3.nodes)
         with pytest.raises(ValidationError):
             run_heat_flow(sign_flip, make_flow_config(D3P3, 1.0))
-
-    def test_heat_evolve_rejections(self):
-        u0 = tilted(RULE3)
-        with pytest.raises(ValidationError):
-            heat_evolve(u0, D3P3, -0.1)
-        with pytest.raises(ValidationError):
-            heat_evolve(AxiFunction(RULE3, values=RULE3.nodes), D3P3, 0.1)
 
 
 class TestNonlinearFlow:
@@ -397,6 +377,32 @@ class TestBitIdentity:
         attempts = trace.stats["accepted_steps"] + trace.stats["rejected_steps"]
         assert reference.solver["rhs_evaluations"] == 7 * attempts
         assert trace.solver["rhs_evaluations"] == 6 * attempts + 1
+
+    @pytest.mark.parametrize(
+        "setting,antipodal",
+        [(D3P3, False), (D3P3, True), (make_flow_setting(D3P5, 1.2), False)],
+    )
+    def test_sample_energies_match_axifunction_route(self, monkeypatch, setting, antipodal):
+        # i and |grad u|^2 per sample were dirichlet(AxiFunction(rule, values))
+        z = RULE3.nodes
+        u0 = AxiFunction(RULE3, values=np.exp(0.2 * z * z + (0.0 if antipodal else 0.1) * z))
+        cfg = make_flow_config(setting, 0.5, sample_count=65, antipodal=antipodal)
+        run = run_heat_flow if setting is D3P3 else run_nonlinear_flow
+        trace = run(u0, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                flows, "_grid_energy", lambda rule, v: dirichlet(AxiFunction(rule, values=v))
+            )
+            reference = run(u0, cfg)
+        for name in TRACE_FIELDS:
+            assert getattr(trace, name).tobytes() == getattr(reference, name).tobytes(), name
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_grid_energy_rejects_nonfinite_values(self, bad):
+        values = np.ones(RULE3.n)
+        values[3] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            flows._grid_energy(RULE3, values)
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -1,6 +1,5 @@
 """Tests for the axisymmetric sphere calculus and the inequality catalog."""
 
-import json
 import math
 
 import numpy as np
@@ -19,8 +18,6 @@ from sphereineq.sphere_calculus import (
     deficit,
     dirichlet,
     entropy_fisher,
-    function_from_json,
-    function_to_json,
     lp_norm,
     make_rule,
     random_band_limited_exponential,
@@ -176,18 +173,6 @@ class TestAxiFunction:
         u = AxiFunction(rule, coefficients=[0.0, 1.0])
         assert u.coefficients.shape == (16,)
         assert np.allclose(u.values, rule.basis[:, 1])
-
-    def test_json_round_trip(self):
-        rule = make_rule(3, 12)
-        u = AxiFunction(rule, values=np.exp(rule.nodes))
-        text = function_to_json(u, include_nodes=True)
-        v = function_from_json(text)
-        assert v.rule is u.rule
-        assert np.max(np.abs(v.values - u.values)) == 0.0
-        payload = json.loads(text)
-        payload["nodes"][0] += 1e-3
-        with pytest.raises(ValidationError):
-            function_from_json(json.dumps(payload))
 
     def test_rejections(self):
         rule = make_rule(3, 8)

@@ -6,7 +6,6 @@ oracle route or is an exact algebraic consequence of the change of
 variables.
 """
 
-import json
 import math
 
 import numpy as np
@@ -26,13 +25,8 @@ from sphereineq.stereographic import (
     euclidean_norms,
     pull_back,
     push_forward,
-    radial_from_csv,
-    radial_from_json,
     radial_profile_from_samples,
     radial_second_moment,
-    radial_to_csv,
-    radial_to_json,
-    write_radial,
 )
 
 
@@ -454,6 +448,8 @@ class TestMomentConstrained:
         v = push_forward(AxiFunction(rule, values=np.exp(0.1 * rule.nodes**2)))
         with pytest.raises(ValidationError):
             euclidean_deficit(v, "moment_constrained_log", make_parameter_point(3, 3.0))
+        with pytest.raises(ValidationError, match="dimension"):
+            euclidean_deficit(v, "moment_constrained_log", make_parameter_point(4, 2.0))
 
     def test_level_below_dimension_rejected(self):
         pp = make_parameter_point(3, 3.0)
@@ -462,54 +458,3 @@ class TestMomentConstrained:
         v = moment_matched(push_forward(even_positive(rng, rule)))
         with pytest.raises(ValidationError):
             euclidean_deficit(v, "moment_constrained", pp, lambda_star=2.5)
-
-
-class TestSerialization:
-    def test_csv_round_trip(self):
-        rng = np.random.default_rng(43)
-        rule = make_rule(3, 24)
-        v = push_forward(poly_function(rule, random_positive_poly(rng)))
-        text = radial_to_csv(v)
-        assert text.splitlines()[0] == "r,v"
-        assert len(text.splitlines()) == 25
-        back = radial_from_csv(text, 3)
-        assert np.array_equal(back.values, v.values)
-        assert np.array_equal(back.r, v.r)
-
-    def test_csv_rejects_malformed(self):
-        v = equality_profile(3, 16)
-        text = radial_to_csv(v)
-        with pytest.raises(ValidationError):
-            radial_from_csv("x,y\n1,2\n", 3)
-        with pytest.raises(ValidationError):
-            radial_from_csv(text.replace("r,v", "r,v").rsplit(",", 1)[0], 3)
-        lines = text.splitlines()
-        lines[1] = "0.5," + lines[1].split(",")[1]
-        with pytest.raises(ValidationError):
-            radial_from_csv("\n".join(lines) + "\n", 3)
-
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(47)
-        rule = make_rule(5, 20)
-        v = push_forward(poly_function(rule, random_positive_poly(rng)))
-        payload = json.loads(radial_to_json(v))
-        assert payload["d"] == 5 and payload["n"] == 20
-        back = radial_from_json(radial_to_json(v))
-        assert np.array_equal(back.values, v.values)
-        with pytest.raises(ValidationError):
-            radial_from_json(json.dumps({"d": 5}))
-        tampered = dict(payload)
-        tampered["r"] = [x + 0.1 for x in payload["r"]]
-        with pytest.raises(ValidationError):
-            radial_from_json(json.dumps(tampered))
-
-    def test_write_radial(self, tmp_path):
-        v = equality_profile(3, 16)
-        csv_path = tmp_path / "profile.csv"
-        json_path = tmp_path / "profile.json"
-        write_radial(v, csv_path)
-        write_radial(v, json_path, fmt="json")
-        assert radial_from_csv(csv_path.read_text(), 3).node_count == 16
-        assert radial_from_json(json_path.read_text()).node_count == 16
-        with pytest.raises(ValidationError):
-            write_radial(v, tmp_path / "x.bin", fmt="bin")
