@@ -10,7 +10,7 @@ mu(lambda) and lambda(mu), diffusion-flow certificates, spectral
 (Keller--Lieb--Thirring type) consequences, and the stereographic
 correspondence with weighted Euclidean inequalities.
 
-Subpackages are organized by role: `exponents` (parameter bookkeeping),
+The modules are organized by role: `exponents` (parameter bookkeeping),
 `phi_functions` (improvement functions), `bounds` (explicit constants),
 `sphere_calculus` (quadrature, norms, deficits), `flows` (certified
 evolutions), `variational` (best constants and eigenvalues),

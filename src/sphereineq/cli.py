@@ -11,10 +11,11 @@ klt         randomized Schrodinger spectral-bound battery
 
 Every run writes its data files and one JSON manifest recording the command,
 parameters, seed, tool version, tolerances, output paths, wall-clock time,
-and solver diagnostics where the command has them.  Data outputs are
-byte-deterministic for a fixed command line and seed, so reruns can be
-compared with a plain byte diff; the manifest repeats the inputs so any run
-can be reproduced from it alone.
+and solver diagnostics where the command has them.  Each cmd_* function
+writes only its data files; main runs it through _run, which times it and
+writes the manifest.  Data outputs are byte-deterministic for a fixed
+command line and seed, so reruns can be compared with a plain byte diff; the
+manifest repeats the inputs so any run can be reproduced from it alone.
 
 Exit codes: 0 success, 2 invalid parameters or usage, 3 a certified
 invariant failed, 4 an iterative solver did not converge.
@@ -29,7 +30,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,29 +42,15 @@ from .flows import certify_ode_chain, make_flow_config, run_heat_flow, run_nonli
 from .ioutils import atomic_write_text, fmt_float
 from .sphere_calculus import AxiFunction, ckp_distance, deficit, make_rule, random_band_limited_exponential
 from .stereographic import euclidean_deficit, push_forward
-from .variational import bound_curve_sweep, klt_validate, sweep_to_csv
+from .variational import bound_curve_sweep, klt_validate
 
 OUT_DIR_ENV = "SPHEREINEQ_OUT_DIR"
 
-__all__ = ["main", "build_parser", "RunManifest", "OUT_DIR_ENV"]
+__all__ = ["main", "build_parser", "OUT_DIR_ENV"]
 
 
 # ---------------------------------------------------------------------------
-# manifest and serialization helpers
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record written next to every command's outputs."""
-
-    command: str
-    parameters: dict
-    seed: int | None
-    tool_version: str
-    tolerances: dict
-    outputs: tuple[str, ...]
-    wall_clock_seconds: float
-    diagnostics: dict = dataclasses.field(default_factory=dict)
+# serialization helpers
 
 
 def _jsonable(x):
@@ -93,17 +79,16 @@ def _dump_json(obj) -> str:
     return json.dumps(_jsonable(obj), indent=2, allow_nan=False) + "\n"
 
 
-def _write_manifest(out_dir: Path, stem: str, manifest: RunManifest) -> Path:
-    path = out_dir / f"{stem}_manifest.json"
-    atomic_write_text(path, _dump_json(dataclasses.asdict(manifest)))
-    return path
-
-
 def _resolve_out_dir(args) -> Path:
     raw = getattr(args, "out_dir", None) or os.environ.get(OUT_DIR_ENV) or "."
     out = Path(raw)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _step_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """lo, lo + step, ..., hi, rounded to 12 decimals so grid values print short."""
+    return np.round(np.linspace(lo, hi, int(round((hi - lo) / step)) + 1), 12)
 
 
 def _tag(x: float) -> str:
@@ -127,9 +112,7 @@ def _print_table(table: dict) -> None:
 # constants
 
 
-def cmd_constants(args) -> int:
-    started = time.perf_counter()
-    out_dir = _resolve_out_dir(args)
+def cmd_constants(args) -> tuple[int, str, dict]:
     pp = make_parameter_point(args.d, args.p)
 
     table: dict = {
@@ -177,21 +160,12 @@ def cmd_constants(args) -> int:
     stem = f"constants_d{args.d}_p{_tag(args.p)}"
     if args.beta is not None:
         stem += f"_b{_tag(args.beta)}"
-    report_path = out_dir / f"{stem}.json"
+    report_path = args.out_dir / f"{stem}.json"
     atomic_write_text(report_path, _dump_json(table))
-
-    manifest = RunManifest(
-        command="constants",
-        parameters={"d": args.d, "p": args.p, "beta": args.beta},
-        seed=None,
-        tool_version=__version__,
-        tolerances={},
-        outputs=(str(report_path),),
-        wall_clock_seconds=time.perf_counter() - started,
-    )
-    manifest_path = _write_manifest(out_dir, stem, manifest)
-    print(f"wrote {report_path} and {manifest_path}")
-    return 0
+    return 0, stem, {
+        "parameters": {"d": args.d, "p": args.p, "beta": args.beta},
+        "outputs": [str(report_path)],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +187,7 @@ def _figure1_grid(args) -> list[float]:
         if args.refine and len(lams) > 1:
             lams = _midpoint_refine(lams)
     else:
-        step = 0.25 * (0.5 if args.refine else 1.0)
-        count = int(round((5.0 - 0.25) / step)) + 1
-        lams = np.round(np.linspace(0.25, 5.0, count), 12).tolist()
+        lams = _step_grid(0.25, 5.0, 0.25 * (0.5 if args.refine else 1.0)).tolist()
     if not lams:
         raise ValidationError("the lambda grid is empty")
     for lam in lams:
@@ -224,51 +196,50 @@ def _figure1_grid(args) -> list[float]:
     return lams
 
 
+# figure1's output columns in order: name -> (its values in the sweep, or None
+# where the column does not apply at the parameter point; description)
 _FIGURE1_COLUMNS = {
-    "lambda": "grid value of the linear-term coefficient",
-    "numeric_mu": "variational.bound_curve_sweep, restarted minimization of the quotient",
-    "thm2": "bounds.mu_lower_thm2, flow-certified lower bound (nan outside its range)",
-    "prop34": "bounds.mu_lower_prop34, spectral lower bound (nan below the constant branch)",
-    "identity": "reference line mu = lambda, attained by constant functions",
-    "converged": "solver flag, 1 when every restart at this grid value converged",
+    "lambda": (lambda c: c.lams, "grid value of the linear-term coefficient"),
+    "numeric_mu": (lambda c: c.numeric, "variational.bound_curve_sweep, restarted minimization of the quotient"),
+    "thm2": (lambda c: c.thm2, "bounds.mu_lower_thm2, flow-certified lower bound (nan outside its range)"),
+    "prop34": (lambda c: c.prop34, "bounds.mu_lower_prop34, spectral lower bound (nan below the constant branch)"),
+    "identity": (lambda c: c.lams, "reference line mu = lambda, attained by constant functions"),
+    "converged": (
+        lambda c: [int(f) for f in c.converged],
+        "solver flag, 1 when every restart at this grid value converged",
+    ),
 }
 
 
-def cmd_figure1(args) -> int:
-    started = time.perf_counter()
-    out_dir = _resolve_out_dir(args)
+def cmd_figure1(args) -> tuple[int, str, dict]:
     pp = make_parameter_point(args.d, args.p)
     lams = _figure1_grid(args)
 
     curve = bound_curve_sweep(
         pp, lams, node_count=args.n_nodes, restarts=args.restarts, seed=args.seed
     )
+    columns, descriptions = {}, {}
+    for name, (values, description) in _FIGURE1_COLUMNS.items():
+        column = values(curve)
+        if column is not None:
+            columns[name] = column
+            descriptions[name] = description
 
     stem = f"figure1_d{args.d}_p{_tag(args.p)}"
+    data_path = args.out_dir / f"{stem}.{args.format}"
     if args.format == "json":
-        data_path = out_dir / f"{stem}.json"
-        payload = {
-            "d": pp.d,
-            "p": pp.p,
-            "lambda": list(curve.lams),
-            "numeric_mu": list(curve.numeric),
-            "thm2": list(curve.thm2),
-            "identity": list(curve.lams),
-            "converged": [int(c) for c in curve.converged],
-        }
-        if curve.prop34 is not None:
-            payload["prop34"] = list(curve.prop34)
-        atomic_write_text(data_path, _dump_json(payload))
+        text = _dump_json({"d": pp.d, "p": pp.p, **columns})
     else:
-        data_path = out_dir / f"{stem}.csv"
-        atomic_write_text(data_path, sweep_to_csv(curve))
+        rows = [",".join(columns)]
+        rows += [",".join(fmt_float(x) for x in row) for row in zip(*columns.values())]
+        text = "\n".join(rows) + "\n"
+    atomic_write_text(data_path, text)
 
-    columns = dict(_FIGURE1_COLUMNS)
-    if curve.prop34 is None:
-        del columns["prop34"]
-    manifest = RunManifest(
-        command="figure1",
-        parameters={
+    n_failed = sum(1 for c in curve.converged if not c)
+    if n_failed:
+        print(f"did not converge at {n_failed} of {len(lams)} grid values", file=sys.stderr)
+    return 4 if n_failed else 0, stem, {
+        "parameters": {
             "d": args.d,
             "p": args.p,
             "lambda_grid": lams,
@@ -276,27 +247,16 @@ def cmd_figure1(args) -> int:
             "restarts": args.restarts,
             "refine": bool(args.refine),
             "format": args.format,
-            "columns": columns,
+            "columns": descriptions,
         },
-        seed=args.seed,
-        tool_version=__version__,
-        tolerances={},
-        outputs=(str(data_path),),
-        wall_clock_seconds=time.perf_counter() - started,
-        diagnostics={
+        "seed": args.seed,
+        "outputs": [str(data_path)],
+        "diagnostics": {
             "lambda": list(curve.lams),
             "iterations": list(curve.iterations),
             "converged": list(curve.converged),
         },
-    )
-    manifest_path = _write_manifest(out_dir, stem, manifest)
-
-    n_failed = sum(1 for c in curve.converged if not c)
-    print(f"wrote {data_path} and {manifest_path}")
-    if n_failed:
-        print(f"did not converge at {n_failed} of {len(lams)} grid values", file=sys.stderr)
-        return 4
-    return 0
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +277,7 @@ def _figure2_rows(d: int, p_grid: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_figure2(args) -> int:
-    started = time.perf_counter()
-    out_dir = _resolve_out_dir(args)
+def cmd_figure2(args) -> tuple[int, str, dict]:
     dims = list(dict.fromkeys(args.d))
     if args.p_step <= 0.0 or not math.isfinite(args.p_step):
         raise ValidationError(f"p step must be finite and positive, got {args.p_step}")
@@ -335,35 +293,28 @@ def cmd_figure2(args) -> int:
             p_max = pp_probe.two_star if math.isfinite(pp_probe.two_star) else 18.0
         if p_max <= args.p_min:
             raise ValidationError(f"empty p grid for d = {d}: [{args.p_min}, {p_max}]")
-        count = int(round((p_max - args.p_min) / args.p_step)) + 1
-        p_grid = np.round(np.linspace(args.p_min, p_max, count), 12)
-        path = out_dir / f"figure2_d{d}.csv"
+        p_grid = _step_grid(args.p_min, p_max, args.p_step)
+        path = args.out_dir / f"figure2_d{d}.csv"
         atomic_write_text(path, _figure2_rows(d, p_grid))
         outputs.append(str(path))
-        grids[str(d)] = {"p_min": args.p_min, "p_max": float(p_max), "p_step": args.p_step, "count": count}
-
-    manifest = RunManifest(
-        command="figure2",
-        parameters={"d": dims, "grids": grids, "format": "csv"},
-        seed=None,
-        tool_version=__version__,
-        tolerances={},
-        outputs=tuple(outputs),
-        wall_clock_seconds=time.perf_counter() - started,
-    )
-    manifest_path = _write_manifest(out_dir, "figure2", manifest)
-    print(f"wrote {len(outputs)} file(s) and {manifest_path}")
-    return 0
+        grids[str(d)] = {
+            "p_min": args.p_min, "p_max": float(p_max), "p_step": args.p_step, "count": len(p_grid),
+        }
+    return 0, "figure2", {"parameters": {"d": dims, "grids": grids, "format": "csv"}, "outputs": outputs}
 
 
 # ---------------------------------------------------------------------------
 # flow
 
 
+# flow-config key -> the type its value is read as; the keys after
+# time_horizon are make_flow_config's keyword arguments, and "initial" is
+# read by _initial_function
 _FLOW_KEYS = {
-    "mode", "d", "p", "beta", "time_horizon", "node_count", "sample_count",
-    "antipodal", "initial_dt", "safety", "max_dt", "rtol", "atol",
-    "positivity_floor", "initial",
+    "mode": str, "d": int, "p": float, "beta": float, "time_horizon": float,
+    "node_count": int, "sample_count": int, "antipodal": bool, "initial_dt": float,
+    "safety": float, "max_dt": float, "rtol": float, "atol": float,
+    "positivity_floor": float, "initial": dict,
 }
 _INITIAL_KEYS = {"kind", "amplitude", "coefficients"}
 
@@ -379,7 +330,7 @@ def _load_flow_spec(path: str) -> dict:
         raise ValidationError(f"flow config {path} is not valid JSON: {exc}") from exc
     if not isinstance(spec, dict):
         raise ValidationError("flow config must be a JSON object")
-    unknown = sorted(set(spec) - _FLOW_KEYS)
+    unknown = sorted(set(spec) - set(_FLOW_KEYS))
     if unknown:
         raise ValidationError(f"unknown flow config keys: {', '.join(unknown)}")
     for key in ("mode", "d", "p", "initial"):
@@ -421,44 +372,35 @@ def _initial_function(spec, rule) -> AxiFunction:
     return AxiFunction(rule, values=values)
 
 
-def cmd_flow(args) -> int:
-    started = time.perf_counter()
-    out_dir = _resolve_out_dir(args)
+def cmd_flow(args) -> tuple[int, str, dict]:
     spec = _load_flow_spec(args.config)
+    # typed values; what is left after the pops is make_flow_config's keywords
+    config = {key: _FLOW_KEYS[key](value) for key, value in spec.items() if key != "initial"}
+    mode = config.pop("mode")
 
-    pp = make_parameter_point(int(spec["d"]), float(spec["p"]))
-    if spec["mode"] == "nonlinear":
-        setting = make_flow_setting(pp, float(spec["beta"]))
+    pp = make_parameter_point(config.pop("d"), config.pop("p"))
+    stem = f"flow_{mode}_d{pp.d}_p{_tag(pp.p)}"
+    if mode == "nonlinear":
+        beta = config.pop("beta")
+        setting = make_flow_setting(pp, beta)
         if not setting.admissible:
             raise ValidationError(
                 f"beta = {setting.beta} is not an admissible flow exponent at (d, p) = ({pp.d}, {pp.p})"
             )
+        stem += f"_b{_tag(beta)}"
     else:
         setting = pp
-
-    cfg_kwargs = {}
-    for key in ("node_count", "sample_count"):
-        if key in spec:
-            cfg_kwargs[key] = int(spec[key])
-    for key in ("initial_dt", "safety", "max_dt", "rtol", "atol", "positivity_floor"):
-        if key in spec:
-            cfg_kwargs[key] = float(spec[key])
-    if "antipodal" in spec:
-        cfg_kwargs["antipodal"] = bool(spec["antipodal"])
-    cfg = make_flow_config(setting, float(spec.get("time_horizon", 1.0)), **cfg_kwargs)
+    cfg = make_flow_config(setting, config.pop("time_horizon", 1.0), **config)
 
     rule = make_rule(pp.d, cfg.node_count)
     u0 = _initial_function(spec["initial"], rule)
-    runner = run_heat_flow if spec["mode"] == "heat" else run_nonlinear_flow
+    runner = run_heat_flow if mode == "heat" else run_nonlinear_flow
     trace = runner(u0, cfg)
     report = certify_ode_chain(trace, pp, ode_tol=args.tol)
 
-    stem = f"flow_{spec['mode']}_d{pp.d}_p{_tag(pp.p)}"
-    if spec["mode"] == "nonlinear":
-        stem += f"_b{_tag(float(spec['beta']))}"
-    trace_path = out_dir / f"{stem}_trace.csv"
+    trace_path = args.out_dir / f"{stem}_trace.csv"
     write_trace(trace, trace_path)
-    report_path = out_dir / f"{stem}_report.json"
+    report_path = args.out_dir / f"{stem}_report.json"
     payload = {
         "config": spec,
         "stats": dict(trace.stats),
@@ -466,25 +408,17 @@ def cmd_flow(args) -> int:
     }
     atomic_write_text(report_path, _dump_json(payload))
 
-    manifest = RunManifest(
-        command="flow",
-        parameters={"config_path": str(args.config), "config": spec},
-        seed=None,
-        tool_version=__version__,
-        tolerances=dict(report.tolerances),
-        outputs=(str(trace_path), str(report_path)),
-        wall_clock_seconds=time.perf_counter() - started,
-        diagnostics=dict(trace.solver),
-    )
-    manifest_path = _write_manifest(out_dir, stem, manifest)
-
     status = "certified" if report.passed else "FAILED"
     print(
-        f"{spec['mode']} flow at (d, p) = ({pp.d}, {pp.p}): {len(trace.times)} samples, "
+        f"{mode} flow at (d, p) = ({pp.d}, {pp.p}): {len(trace.times)} samples, "
         f"final time {repr(float(trace.times[-1]))}, certification {status}"
     )
-    print(f"wrote {trace_path}, {report_path}, {manifest_path}")
-    return 0 if report.passed else 3
+    return 0 if report.passed else 3, stem, {
+        "parameters": {"config_path": str(args.config), "config": spec},
+        "tolerances": dict(report.tolerances),
+        "outputs": [str(trace_path), str(report_path)],
+        "diagnostics": dict(trace.solver),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -627,9 +561,7 @@ _VERIFY_SUITES = (
 _SUITES = tuple(name for name, _, _ in _VERIFY_SUITES) + ("all",)
 
 
-def cmd_verify(args) -> int:
-    started = time.perf_counter()
-    out_dir = _resolve_out_dir(args)
+def cmd_verify(args) -> tuple[int, str, dict]:
     pp = make_parameter_point(args.d, args.p)
     if args.n < 1:
         raise ValidationError(f"sample count must be at least 1, got {args.n}")
@@ -666,19 +598,8 @@ def cmd_verify(args) -> int:
         "passed": passed,
     }
     stem = f"verify_{args.suite}_d{pp.d}_p{_tag(pp.p)}"
-    report_path = out_dir / f"{stem}.json"
+    report_path = args.out_dir / f"{stem}.json"
     atomic_write_text(report_path, _dump_json(report))
-
-    manifest = RunManifest(
-        command="verify",
-        parameters={"suite": args.suite, "d": args.d, "p": args.p, "n": args.n, "n_nodes": args.n_nodes},
-        seed=args.seed,
-        tool_version=__version__,
-        tolerances={"tol": args.tol},
-        outputs=(str(report_path),),
-        wall_clock_seconds=time.perf_counter() - started,
-    )
-    manifest_path = _write_manifest(out_dir, stem, manifest)
 
     for check in checks:
         flag = "PASS" if check["passed"] else "FAIL"
@@ -688,17 +609,19 @@ def cmd_verify(args) -> int:
         )
     for entry in skipped:
         print(f"[SKIP] {entry['name']}  {entry['reason']}")
-    print(f"wrote {report_path} and {manifest_path}")
-    return 0 if passed else 3
+    return 0 if passed else 3, stem, {
+        "parameters": {"suite": args.suite, "d": args.d, "p": args.p, "n": args.n, "n_nodes": args.n_nodes},
+        "seed": args.seed,
+        "tolerances": {"tol": args.tol},
+        "outputs": [str(report_path)],
+    }
 
 
 # ---------------------------------------------------------------------------
 # klt
 
 
-def cmd_klt(args) -> int:
-    started = time.perf_counter()
-    out_dir = _resolve_out_dir(args)
+def cmd_klt(args) -> tuple[int, str, dict]:
     modes = ["minus_V", "plus_V"] if args.mode == "both" else [args.mode]
 
     mode_reports = []
@@ -740,12 +663,10 @@ def cmd_klt(args) -> int:
         "passed": passed,
     }
     stem = f"klt_d{args.d}_q{_tag(args.q)}_{args.mode}"
-    report_path = out_dir / f"{stem}.json"
+    report_path = args.out_dir / f"{stem}.json"
     atomic_write_text(report_path, _dump_json(report))
-
-    manifest = RunManifest(
-        command="klt",
-        parameters={
+    return 0 if passed else 3, stem, {
+        "parameters": {
             "d": args.d,
             "q": args.q,
             "samples": args.samples,
@@ -753,15 +674,10 @@ def cmd_klt(args) -> int:
             "n_nodes": args.n_nodes,
             "scale": args.scale,
         },
-        seed=args.seed,
-        tool_version=__version__,
-        tolerances={"tol": args.tol},
-        outputs=(str(report_path),),
-        wall_clock_seconds=time.perf_counter() - started,
-    )
-    manifest_path = _write_manifest(out_dir, stem, manifest)
-    print(f"wrote {report_path} and {manifest_path}")
-    return 0 if passed else 3
+        "seed": args.seed,
+        "tolerances": {"tol": args.tol},
+        "outputs": [str(report_path)],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -843,10 +759,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    """Run one subcommand, write its manifest, and return its exit code.
+
+    args.func writes the data files into args.out_dir and returns (exit code,
+    file stem, record); the record holds the manifest's parameters and
+    outputs, and its seed, tolerances and diagnostics where the command has
+    them.
+    """
+    started = time.perf_counter()
+    args.out_dir = _resolve_out_dir(args)
+    code, stem, record = args.func(args)
+    manifest = {
+        "command": args.command,
+        "parameters": record["parameters"],
+        "seed": record.get("seed"),
+        "tool_version": __version__,
+        "tolerances": record.get("tolerances", {}),
+        "outputs": record["outputs"],
+        "wall_clock_seconds": time.perf_counter() - started,
+        "diagnostics": record.get("diagnostics", {}),
+    }
+    manifest_path = args.out_dir / f"{stem}_manifest.json"
+    atomic_write_text(manifest_path, _dump_json(manifest))
+    print(f"wrote {', '.join(record['outputs'])} and {manifest_path}")
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return int(args.func(args))
+        return int(_run(args))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -246,6 +246,15 @@ def _log_entropy(values: np.ndarray, rule: UltrasphericalRule) -> float:
     return float(rule.integrate(terms))
 
 
+def _norm_and_entropy(u: AxiFunction, p: float) -> tuple[float, float]:
+    """|u|_p^2 and the entropy e of entropy_fisher (its log form at p = 2)."""
+    np2 = lp_norm(u, p) ** 2
+    if p == 2.0:
+        return np2, 0.5 * _log_entropy(u.values, u.rule)
+    n22 = lp_norm(u, 2.0) ** 2
+    return np2, (np2 - n22) / (p - 2.0)
+
+
 def entropy_fisher(u: AxiFunction, p: float) -> tuple[float, float]:
     """Entropy e and Fisher information i of u at exponent p.
 
@@ -257,11 +266,7 @@ def entropy_fisher(u: AxiFunction, p: float) -> tuple[float, float]:
     if not math.isfinite(p) or p < 1.0:
         raise ValidationError(f"exponent p must be finite and >= 1, got {p}")
     i = dirichlet(u)
-    if p == 2.0:
-        return 0.5 * _log_entropy(u.values, u.rule), i
-    np2 = lp_norm(u, p) ** 2
-    n22 = lp_norm(u, 2.0) ** 2
-    return (np2 - n22) / (p - 2.0), i
+    return _norm_and_entropy(u, p)[1], i
 
 
 @dataclass(frozen=True)
@@ -324,12 +329,13 @@ def deficit(
       - "antipodal": sharper constant for even functions, d >= 3.
     """
     d = float(u.rule.d)
+    # the energy and |u|_p are computed once per call, not again per branch
     i = dirichlet(u)
     if inequality_id == "gns":
         pp = _require_pp(pp, u.rule.d, "gns")
         if pp.p == 2.0:
             raise ValidationError("gns requires p != 2; use log_sobolev at p = 2")
-        e, _ = entropy_fisher(u, pp.p)
+        _, e = _norm_and_entropy(u, pp.p)
         rhs = d * e
         inputs = {"d": pp.d, "p": pp.p}
     elif inequality_id == "log_sobolev":
@@ -345,8 +351,7 @@ def deficit(
             raise ValidationError(
                 f"improved_gns requires p <= {pp.two_sharp}, got p = {pp.p}"
             )
-        e, _ = entropy_fisher(u, pp.p)
-        npow = lp_norm(u, pp.p) ** 2
+        npow, e = _norm_and_entropy(u, pp.p)
         rhs = d * npow * phi(pp, e / npow)
         inputs = {"d": pp.d, "p": pp.p}
     elif inequality_id == "improved_phi":
@@ -356,15 +361,14 @@ def deficit(
         if pp != phi_spec.pp:
             raise ValidationError("phi_spec parameter point disagrees with pp")
         _require_pp(pp, u.rule.d, "improved_phi")
-        e, _ = entropy_fisher(u, pp.p)
-        npow = lp_norm(u, pp.p) ** 2
+        npow, e = _norm_and_entropy(u, pp.p)
         rhs = d * npow * phi_spec.value(e / npow)
         inputs = {"d": pp.d, "p": pp.p, "variant": phi_spec.variant}
     elif inequality_id == "afst":
         pp = _require_pp(pp, u.rule.d, "afst")
         _check_moment_free(u, pp.p)
         constant, _ = afst_constants(pp, lambda_star)
-        e, _ = entropy_fisher(u, pp.p)
+        _, e = _norm_and_entropy(u, pp.p)
         rhs = constant * (pp.p - 2.0) * e
         level = _default_lambda_star(pp.d) if lambda_star is None else lambda_star
         inputs = {"d": pp.d, "p": pp.p, "lambda_star": level}
@@ -375,7 +379,7 @@ def deficit(
         if pp.p == 2.0:
             rhs = constant * _log_entropy(u.values, u.rule)
         else:
-            e, _ = entropy_fisher(u, pp.p)
+            _, e = _norm_and_entropy(u, pp.p)
             rhs = constant * (pp.p - 2.0) * e
         inputs = {"d": pp.d, "p": pp.p}
     else:

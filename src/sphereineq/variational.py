@@ -25,7 +25,6 @@ from .bounds import (
 )
 from .errors import ValidationError
 from .exponents import ParameterPoint, make_parameter_point
-from .ioutils import fmt_float
 from .sphere_calculus import (
     AxiFunction,
     lp_norm,
@@ -37,15 +36,12 @@ __all__ = [
     "BestConstantResult",
     "KLTReport",
     "RayleighProblem",
-    "SchrodingerProblem",
     "SweepCurve",
     "best_constant",
     "bound_curve_sweep",
     "klt_validate",
     "make_rayleigh_problem",
-    "make_schrodinger_problem",
     "principal_eigenvalue",
-    "sweep_to_csv",
 ]
 
 
@@ -356,7 +352,6 @@ class SweepCurve:
     thm2: tuple
     prop34: tuple | None
     converged: tuple
-    seed: int
     iterations: tuple
 
 
@@ -405,45 +400,23 @@ def bound_curve_sweep(
         thm2=tuple(thm2),
         prop34=None if prop34 is None else tuple(prop34),
         converged=tuple(flags),
-        seed=seed,
         iterations=tuple(iterations),
     )
-
-
-def sweep_to_csv(curve: SweepCurve) -> str:
-    columns = ["lambda", "numeric_mu", "thm2"]
-    if curve.prop34 is not None:
-        columns.append("prop34")
-    columns += ["identity", "converged"]
-    lines = [",".join(columns)]
-    for k, lam in enumerate(curve.lams):
-        row = [lam, curve.numeric[k], curve.thm2[k]]
-        if curve.prop34 is not None:
-            row.append(curve.prop34[k])
-        row.append(lam)
-        cells = [fmt_float(x) for x in row]
-        cells.append("1" if curve.converged[k] else "0")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # Schrodinger eigenvalues
 
 
-@dataclass(frozen=True)
-class SchrodingerProblem:
-    """Principal-eigenvalue instance for -Lap - V or -Lap + V."""
+def principal_eigenvalue(potential: AxiFunction, sign_mode: str) -> float:
+    """Smallest eigenvalue of -Lap - V (sign_mode "minus_V", V >= 0) or
+    -Lap + V ("plus_V", V > 0) on the profile sector, V = potential.
 
-    d: int
-    potential: AxiFunction
-    sign_mode: str
-    q: float
-
-
-def make_schrodinger_problem(
-    potential: AxiFunction, sign_mode: str, q: float
-) -> SchrodingerProblem:
+    The dense Galerkin matrix is diag(k(k+d-1)) -/+ the quadrature Gram
+    matrix of the potential, so its Rayleigh quotient agrees exactly with
+    quotients of probe profiles computed by the same quadrature; the discrete
+    eigenvalue is an upper bound for the continuum one.
+    """
     if sign_mode not in ("minus_V", "plus_V"):
         raise ValidationError(f"sign_mode must be minus_V or plus_V, got {sign_mode}")
     vals = potential.values
@@ -454,27 +427,11 @@ def make_schrodinger_problem(
             raise ValidationError("attractive mode expects a nonnegative potential")
     elif not np.all(vals > 0.0):
         raise ValidationError("repulsive mode expects a strictly positive potential")
-    if not (math.isfinite(q) and q > 1.0):
-        raise ValidationError(f"q must exceed 1, got {q}")
-    return SchrodingerProblem(
-        d=potential.rule.d, potential=potential, sign_mode=sign_mode, q=float(q)
-    )
-
-
-def principal_eigenvalue(problem: SchrodingerProblem) -> float:
-    """Smallest eigenvalue of the dense Galerkin matrix on the profile sector.
-
-    The matrix is diag(k(k+d-1)) -/+ the quadrature Gram matrix of the
-    potential, so its Rayleigh quotient agrees exactly with quotients of
-    probe profiles computed by the same quadrature; the discrete eigenvalue
-    is an upper bound for the continuum one.
-    """
     from scipy.linalg import eigh
 
-    rule = problem.potential.rule
-    v_weighted = rule.weights * problem.potential.values
-    gram = rule.basis.T @ (v_weighted[:, None] * rule.basis)
-    sign = -1.0 if problem.sign_mode == "minus_V" else 1.0
+    rule = potential.rule
+    gram = rule.basis.T @ ((rule.weights * vals)[:, None] * rule.basis)
+    sign = -1.0 if sign_mode == "minus_V" else 1.0
     matrix = np.diag(rule.eigenvalues) + sign * gram
     return float(eigh(matrix, eigvals_only=True, subset_by_index=(0, 0))[0])
 
@@ -543,8 +500,7 @@ def klt_validate(
     violations = 0
     for _ in range(n_samples):
         v = draw()
-        problem = make_schrodinger_problem(v, sign_mode, q)
-        lam1 = principal_eigenvalue(problem)
+        lam1 = principal_eigenvalue(v, sign_mode)
         if sign_mode == "minus_V":
             mu = lp_norm(v, q)
             # the bound vanishes with the potential: lambda(mu) -> 0 as mu -> 0

@@ -7,6 +7,7 @@ sample counts are kept tiny so the whole module runs in seconds.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import os
@@ -19,6 +20,8 @@ import pytest
 import sphereineq.cli as cli
 from sphereineq import __version__
 from sphereineq.variational import KLTReport
+
+ROOT = Path(cli.__file__).resolve().parents[2]
 
 
 def run_cli(*argv: str) -> int:
@@ -162,6 +165,10 @@ class TestFigure1:
         )
         assert code == 0
         payload = load_json(tmp_path / "figure1_d3_p3.json")
+        # the CSV columns, in CSV order, after d and p
+        assert list(payload) == [
+            "d", "p", "lambda", "numeric_mu", "thm2", "prop34", "identity", "converged",
+        ]
         assert payload["lambda"] == [1.5]
         assert payload["converged"] == [1]
         assert payload["thm2"][0] <= payload["numeric_mu"][0]
@@ -413,6 +420,45 @@ class TestKLT:
         assert code == 3
 
 
+MANIFEST_KEYS = [
+    "command", "parameters", "seed", "tool_version", "tolerances", "outputs",
+    "wall_clock_seconds", "diagnostics",
+]
+
+# one small run per subcommand: (argv, manifest stem)
+SMALL_RUNS = {
+    "constants": (["constants", "--d", "3", "--p", "3"], "constants_d3_p3"),
+    "figure1": (
+        ["figure1", "--lambda-grid", "1.5", "--n-nodes", "24", "--restarts", "2"], "figure1_d3_p3",
+    ),
+    "figure2": (["figure2", "--d", "2", "3", "--p-step", "0.5"], "figure2"),
+    "flow": (["flow", str(ROOT / "configs" / "nonlinear_d3_p5_b1.2.json")], "flow_nonlinear_d3_p5_b1.2"),
+    "verify": (["verify", "gns", "--n", "4", "--n-nodes", "24"], "verify_gns_d3_p3"),
+    "klt": (["klt", "--samples", "3", "--n-nodes", "24"], "klt_d3_q3_both"),
+}
+
+
+@pytest.mark.parametrize("command", list(SMALL_RUNS))
+def test_manifest_lists_outputs_that_rerun_byte_identical(command, tmp_path, capsys):
+    argv, stem = SMALL_RUNS[command]
+    assert run_cli(*argv, "--out-dir", str(tmp_path / "a")) == 0
+    manifest_path = tmp_path / "a" / f"{stem}_manifest.json"
+    manifest = load_json(manifest_path)
+    assert list(manifest) == MANIFEST_KEYS
+    assert manifest["command"] == command
+    assert manifest["tool_version"] == __version__
+    outputs = [Path(path) for path in manifest["outputs"]]
+    assert outputs and all(path.is_file() for path in outputs)
+    written = {path for path in (tmp_path / "a").iterdir() if path != manifest_path}
+    assert written == set(outputs)
+    wrote = f"wrote {', '.join(manifest['outputs'])} and {manifest_path}"
+    assert capsys.readouterr().out.splitlines()[-1] == wrote
+
+    assert run_cli(*argv, "--out-dir", str(tmp_path / "b")) == 0
+    for path in outputs:
+        assert (tmp_path / "b" / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 class TestMainContract:
     def test_missing_command_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -482,6 +528,40 @@ def python_fresh(code: str, *argv: str) -> str:
     return result.stdout.strip().splitlines()[-1]
 
 
+def load_bench_workloads():
+    """bench/workloads.py as a module, without putting bench/ on sys.path."""
+    name = "bench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # its dataclasses look their module up here
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+def test_bench_cli_commands_match_reference(tmp_path):
+    # the benchmark's cli oracle: every data file of its pinned commands,
+    # each run in a fresh process, hashes to bench/reference.json
+    workloads = load_bench_workloads()
+    reference = workloads.load_reference()["cli"]
+    src = str(ROOT / "src")
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+    )
+    assert set(workloads.CLI_COMMANDS) == set(reference)
+    for name in workloads.CLI_COMMANDS:
+        out_dir = tmp_path / name
+        out_dir.mkdir()
+        result = subprocess.run(
+            workloads.cli_argv(name, out_dir, None), cwd=ROOT, env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, (name, result.stderr)
+        assert workloads.data_file_hashes(out_dir) == reference[name]["files"], name
+
+
 def run_fresh(*argv: str):
     """(exit code, heavy scipy modules loaded) for `main(argv)` in a new process."""
     return tuple(json.loads(python_fresh(_LAZY_IMPORT_PROBE, *argv)))
@@ -503,12 +583,11 @@ class TestLazyScipyImports:
     def test_battery_cycle_skips_optimize(self, tmp_path):
         # one cycle of the benchmark's battery workload, whose envelope and
         # CKP checks used to load scipy.optimize
-        root = Path(cli.__file__).resolve().parents[2]
         probe = (
             "import sys; from pathlib import Path\n"
-            f"sys.path.insert(0, {str(root / 'bench')!r})\n"
+            f"sys.path.insert(0, {str(ROOT / 'bench')!r})\n"
             "import workloads\n"
-            f"cycle = workloads.SETUPS['battery'](1, Path({str(root)!r}), Path({str(tmp_path)!r}), None)\n"
+            f"cycle = workloads.SETUPS['battery'](1, Path({str(ROOT)!r}), Path({str(tmp_path)!r}), None)\n"
             "problems = [p for op in cycle(0) for p in op.check(op.run())]\n"
             "print(len(problems), 'scipy.optimize' in sys.modules)\n"
         )

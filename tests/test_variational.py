@@ -28,9 +28,7 @@ from sphereineq.variational import (
     bound_curve_sweep,
     klt_validate,
     make_rayleigh_problem,
-    make_schrodinger_problem,
     principal_eigenvalue,
-    sweep_to_csv,
 )
 
 D3P3 = make_parameter_point(3, 3.0)
@@ -219,16 +217,9 @@ class TestSweep:
         assert all(math.isnan(x) for x in curve.thm2[:2])
         assert curve.thm2[2] == 1.0
 
-    def test_ordering_and_csv(self):
+    def test_bound_ordering(self):
         curve = bound_curve_sweep(D3P3, [2.0], restarts=1)
         assert curve.prop34[0] < curve.thm2[0] <= curve.numeric[0] <= 2.0
-        text = sweep_to_csv(curve)
-        lines = text.strip().split("\n")
-        assert lines[0] == "lambda,numeric_mu,thm2,prop34,identity,converged"
-        fields = [float(x) for x in lines[1].split(",")]
-        assert fields[0] == 2.0 and fields[4] == 2.0
-        assert fields[5] == float(curve.converged[0])
-        assert math.isclose(fields[1], curve.numeric[0], rel_tol=1e-15)
 
     def test_concavity_probe(self):
         curve = bound_curve_sweep(
@@ -258,21 +249,19 @@ class TestSchrodinger:
     RULE = make_rule(3, 48)
 
     def test_zero_potential(self):
-        problem = make_schrodinger_problem(
-            AxiFunction(self.RULE, values=np.zeros(48)), "minus_V", 3.0
-        )
-        assert abs(principal_eigenvalue(problem)) < 1e-12
+        zero = AxiFunction(self.RULE, values=np.zeros(48))
+        assert abs(principal_eigenvalue(zero, "minus_V")) < 1e-12
 
     def test_constant_shift(self):
         v = AxiFunction(self.RULE, values=np.full(48, 0.7))
-        minus = principal_eigenvalue(make_schrodinger_problem(v, "minus_V", 3.0))
-        plus = principal_eigenvalue(make_schrodinger_problem(v, "plus_V", 3.0))
+        minus = principal_eigenvalue(v, "minus_V")
+        plus = principal_eigenvalue(v, "plus_V")
         assert abs(minus + 0.7) < 1e-10
         assert abs(plus - 0.7) < 1e-10
 
     def test_variational_upper_bound(self):
         v = AxiFunction(self.RULE, values=2.0 * (1.0 + self.RULE.nodes))
-        lam1 = principal_eigenvalue(make_schrodinger_problem(v, "minus_V", 3.0))
+        lam1 = principal_eigenvalue(v, "minus_V")
         rng = np.random.default_rng(7)
         for _ in range(50):
             u = random_band_limited_exponential(self.RULE, rng, degree=10, scale=0.4)
@@ -284,18 +273,14 @@ class TestSchrodinger:
     def test_rejections(self):
         neg = AxiFunction(self.RULE, values=self.RULE.nodes)
         with pytest.raises(ValidationError):
-            make_schrodinger_problem(neg, "minus_V", 3.0)
+            principal_eigenvalue(neg, "minus_V")
         with pytest.raises(ValidationError):
-            make_schrodinger_problem(neg, "plus_V", 3.0)
+            principal_eigenvalue(neg, "plus_V")
         ok = AxiFunction(self.RULE, values=np.ones(48))
         with pytest.raises(ValidationError):
-            make_schrodinger_problem(ok, "both", 3.0)
+            principal_eigenvalue(ok, "both")
         with pytest.raises(ValidationError):
-            make_schrodinger_problem(ok, "minus_V", 1.0)
-        with pytest.raises(ValidationError):
-            make_schrodinger_problem(
-                AxiFunction(self.RULE, values=np.full(48, np.inf)), "minus_V", 3.0
-            )
+            principal_eigenvalue(AxiFunction(self.RULE, values=np.full(48, np.inf)), "minus_V")
 
 
 class TestKLT:
@@ -314,7 +299,7 @@ class TestKLT:
     def test_linear_potential_example(self):
         rule = make_rule(3, 48)
         v = AxiFunction(rule, values=2.0 * (1.0 + rule.nodes))
-        lam1 = principal_eigenvalue(make_schrodinger_problem(v, "minus_V", 3.0))
+        lam1 = principal_eigenvalue(v, "minus_V")
         bound = -klt_lambda_bar_schrodinger(D3P3, lp_norm(v, 3.0))
         assert lam1 >= bound - 1e-8
 
