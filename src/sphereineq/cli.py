@@ -307,9 +307,9 @@ def cmd_figure2(args) -> tuple[int, str, dict]:
 # flow
 
 
-# flow-config key -> the type its value is read as; the keys after
-# time_horizon are make_flow_config's keyword arguments, and "initial" is
-# read by _initial_function
+# flow-config key -> the type its JSON value must have and is read as; the
+# keys after time_horizon are make_flow_config's keyword arguments, and
+# "initial" is read by _initial_function
 _FLOW_KEYS = {
     "mode": str, "d": int, "p": float, "beta": float, "time_horizon": float,
     "node_count": int, "sample_count": int, "antipodal": bool, "initial_dt": float,
@@ -317,6 +317,24 @@ _FLOW_KEYS = {
     "positivity_floor": float, "initial": dict,
 }
 _INITIAL_KEYS = {"kind", "amplitude", "coefficients"}
+_JSON_TYPE_NAMES = {
+    str: "string", int: "integer", float: "number", bool: "boolean", dict: "object", list: "array",
+}
+
+
+def _check_json_type(name: str, value, kind: type) -> None:
+    """Reject a JSON value whose type is not kind; a number for float may be
+    an integer, and a boolean is neither an integer nor a number."""
+    if isinstance(value, bool):
+        ok = kind is bool
+    elif kind is float:
+        ok = isinstance(value, (int, float))
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ValidationError(
+            f"flow config '{name}' must be a JSON {_JSON_TYPE_NAMES[kind]}, got {value!r}"
+        )
 
 
 def _load_flow_spec(path: str) -> dict:
@@ -336,6 +354,15 @@ def _load_flow_spec(path: str) -> dict:
     for key in ("mode", "d", "p", "initial"):
         if key not in spec:
             raise ValidationError(f"flow config is missing the required key '{key}'")
+    for key, value in spec.items():
+        _check_json_type(key, value, _FLOW_KEYS[key])
+    initial = spec["initial"]
+    if "amplitude" in initial:
+        _check_json_type("initial.amplitude", initial["amplitude"], float)
+    if "coefficients" in initial:
+        _check_json_type("initial.coefficients", initial["coefficients"], list)
+        for c in initial["coefficients"]:
+            _check_json_type("initial.coefficients", c, float)
     if spec["mode"] not in ("heat", "nonlinear"):
         raise ValidationError(f"flow mode must be 'heat' or 'nonlinear', got {spec['mode']!r}")
     if spec["mode"] == "nonlinear" and "beta" not in spec:
@@ -346,8 +373,6 @@ def _load_flow_spec(path: str) -> dict:
 
 
 def _initial_function(spec, rule) -> AxiFunction:
-    if not isinstance(spec, dict):
-        raise ValidationError("flow config 'initial' must be a JSON object")
     unknown = sorted(set(spec) - _INITIAL_KEYS)
     if unknown:
         raise ValidationError(f"unknown initial-data keys: {', '.join(unknown)}")

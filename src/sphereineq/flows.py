@@ -203,6 +203,41 @@ def _grid_energy(rule, values: np.ndarray) -> float:
     return _spectral_energy(rule, rule.to_coefficients(values))
 
 
+def _record_trace(mode, setting, rule, times, densities, stats, solver=None) -> EntropyTrace:
+    """Trace of a flow from its unit-mass densities rho = u^(beta p) at the times.
+
+    Each sample gives the entropy e and Fisher information i of w = rho^(1/p),
+    the mass of rho, |grad u|^2 (i itself when beta = 1) and the Lyapunov
+    quantity; the entropy-rate residual follows from the sampled e.  The heat
+    flow is the beta = 1 case, whose Lyapunov quantity is i - d phi(e) when
+    the carre du champ exponent is nonnegative.
+    """
+    pp, beta = _setting_parts(setting)
+    p = pp.p
+    use_phi = mode == "heat" and pp.gamma >= 0.0
+    e, i, mass, lyap, grad_u = (np.empty(len(times)) for _ in range(5))
+    for k, rho in enumerate(densities):
+        w_vals = rho ** (1.0 / p)
+        i[k] = _grid_energy(rule, w_vals)
+        grad_u[k] = i[k] if beta == 1.0 else _grid_energy(rule, rho ** (1.0 / (beta * p)))
+        mass[k] = rule.integrate(rho)
+        e[k] = _entropy_of_normalized(w_vals, rule, p)
+        lyap[k] = i[k] - pp.d * (phi(pp, max(e[k], 0.0)) if use_phi else e[k])
+    rate = _fd_derivative(e, times[1] - times[0]) + 2.0 * beta**2 * grad_u
+    return EntropyTrace(
+        mode=mode,
+        setting=setting,
+        times=_freeze(times),
+        e=_freeze(e),
+        i=_freeze(i),
+        mass=_freeze(mass),
+        lyapunov=_freeze(lyap),
+        e_rate_residual=_freeze(np.abs(rate)),
+        stats=stats,
+        solver=solver or {},
+    )
+
+
 def run_heat_flow(u0: AxiFunction, cfg: FlowConfig) -> EntropyTrace:
     """Evolve u0 under the heat flow and record the entropy trace.
 
@@ -216,51 +251,27 @@ def run_heat_flow(u0: AxiFunction, cfg: FlowConfig) -> EntropyTrace:
         raise ValidationError("run_heat_flow requires beta = 1")
     _validate_initial(u0, cfg, pp)
     rule = u0.rule
-    p = pp.p
-    norm = lp_norm(u0, p)
-    w0 = (u0.values / norm) ** p
-    c0 = rule.to_coefficients(w0)
+    norm = lp_norm(u0, pp.p)
+    c0 = rule.to_coefficients((u0.values / norm) ** pp.p)
     if cfg.antipodal:
         c0 = c0.copy()
         c0[1::2] = 0.0
-    decay = rule.eigenvalues
     times = np.linspace(0.0, cfg.time_horizon, cfg.sample_count)
-    n = cfg.sample_count
-    e = np.empty(n)
-    i = np.empty(n)
-    mass = np.empty(n)
-    lyap = np.empty(n)
-    gamma_ok = pp.gamma >= 0.0
-    for k, t in enumerate(times):
-        w_vals = rule.to_values(c0 * np.exp(-decay * t))
+    densities = []
+    for t in times:
+        w_vals = rule.to_values(c0 * np.exp(-rule.eigenvalues * t))
         if np.any(w_vals <= 0.0):
             raise ConvergenceError(
                 f"positivity lost in spectral reconstruction at t = {t}"
             )
-        u_vals = w_vals ** (1.0 / p)
-        i[k] = _grid_energy(rule, u_vals)
-        e[k] = _entropy_of_normalized(u_vals, rule, p)
-        mass[k] = rule.integrate(w_vals)
-        lyap[k] = i[k] - pp.d * (phi(pp, max(e[k], 0.0)) if gamma_ok else e[k])
-    h = times[1] - times[0]
-    residual = np.abs(_fd_derivative(e, h) + 2.0 * i)
+        densities.append(w_vals)
     stats = {
         "mode": "heat",
         "normalization": float(norm),
-        "samples": int(n),
-        "gamma_nonnegative": bool(gamma_ok),
+        "samples": int(cfg.sample_count),
+        "gamma_nonnegative": bool(pp.gamma >= 0.0),
     }
-    return EntropyTrace(
-        mode="heat",
-        setting=cfg.setting,
-        times=_freeze(times),
-        e=_freeze(e),
-        i=_freeze(i),
-        mass=_freeze(mass),
-        lyapunov=_freeze(lyap),
-        e_rate_residual=_freeze(residual),
-        stats=stats,
-    )
+    return _record_trace("heat", cfg.setting, rule, times, densities, stats)
 
 
 class _PositivityLoss(Exception):
@@ -432,17 +443,13 @@ def run_nonlinear_flow(u0: AxiFunction, cfg: FlowConfig) -> EntropyTrace:
     if not isinstance(cfg.setting, FlowSetting):
         raise ValidationError("run_nonlinear_flow needs a FlowSetting")
     fs = cfg.setting
-    pp = fs.pp
-    beta = fs.beta
-    _validate_initial(u0, cfg, pp)
+    _validate_initial(u0, cfg, fs.pp)
     if fs.m <= 0.0:
         raise ValidationError(
             f"porous-medium exponent must be positive, got m = {fs.m}"
         )
     rule = u0.rule
-    p = pp.p
-    bp = beta * p
-    rho0 = u0.values**bp
+    rho0 = u0.values ** (fs.beta * fs.pp.p)
     rho0 = rho0 / rule.integrate(rho0)
     if cfg.antipodal:
         c = rule.to_coefficients(rho0)
@@ -450,31 +457,20 @@ def run_nonlinear_flow(u0: AxiFunction, cfg: FlowConfig) -> EntropyTrace:
         rho0 = rule.to_values(c)
     rhs = _PorousMediumRHS(rule, fs.m, cfg.positivity_floor, cfg.antipodal)
     times = np.linspace(0.0, cfg.time_horizon, cfg.sample_count)
-    n = cfg.sample_count
-    e = np.empty(n)
-    i = np.empty(n)
-    mass = np.empty(n)
-    lyap = np.empty(n)
-    grad_u = np.empty(n)
     steps = {"accepted_steps": 0, "rejected_steps": 0, "positivity_halvings": 0}
     rho = rho0.copy()
     t = 0.0
     dt = cfg.step_control["initial_dt"]
     k1 = None
-    for k, t_target in enumerate(times):
+    densities = []
+    for t_target in times:
         if t_target > t:
             rho, t, dt, k1 = _advance(
                 rhs, rho, float(t_target), t, dt, cfg.step_control,
                 cfg.positivity_floor, steps, k1,
             )
-        w_vals = rho ** (1.0 / p)
-        i[k] = _grid_energy(rule, w_vals)
-        grad_u[k] = _grid_energy(rule, rho ** (1.0 / bp))
-        mass[k] = rule.integrate(rho)
-        e[k] = _entropy_of_normalized(w_vals, rule, p)
-        lyap[k] = i[k] - pp.d * e[k]
-    h = times[1] - times[0]
-    residual = np.abs(_fd_derivative(e, h) + 2.0 * beta**2 * grad_u)
+        # _advance never writes into its y, so a stored rho keeps its samples
+        densities.append(rho)
     stats = {
         "mode": "nonlinear",
         "admissible": bool(fs.admissible),
@@ -483,18 +479,8 @@ def run_nonlinear_flow(u0: AxiFunction, cfg: FlowConfig) -> EntropyTrace:
         "rejected_steps": steps["rejected_steps"],
         "final_dt": float(dt),
     }
-    return EntropyTrace(
-        mode="nonlinear",
-        setting=fs,
-        times=_freeze(times),
-        e=_freeze(e),
-        i=_freeze(i),
-        mass=_freeze(mass),
-        lyapunov=_freeze(lyap),
-        e_rate_residual=_freeze(residual),
-        stats=stats,
-        solver={**steps, "rhs_evaluations": rhs.evaluations},
-    )
+    solver = {**steps, "rhs_evaluations": rhs.evaluations}
+    return _record_trace("nonlinear", fs, rule, times, densities, stats, solver)
 
 
 @dataclass(frozen=True)

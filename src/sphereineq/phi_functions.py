@@ -166,16 +166,12 @@ def psi(pp: ParameterPoint, s: float) -> float:
 class PhiSpec:
     """Which improvement function applies at a parameter point.
 
-    variant is one of "closed-form", "log-case", "beta-flow" or "envelope";
-    admissible_s_sup is 1/(p-2) for p > 2 and infinite otherwise.
+    variant is one of "closed-form", "log-case", "beta-flow" or "envelope".
     """
 
     pp: ParameterPoint
     variant: str
-    admissible_s_sup: float
     fs: FlowSetting | None = None
-    beta_samples: int = _DEFAULT_BETA_SAMPLES
-    beta_cap: float = _DEFAULT_BETA_CAP
 
     def value(self, s: float) -> float:
         if self.variant in ("closed-form", "log-case"):
@@ -185,24 +181,22 @@ class PhiSpec:
         if self.variant == "beta-flow":
             assert self.fs is not None
             return phi_beta(self.fs, s)
-        return phi_envelope(self.pp, s, beta_samples=self.beta_samples,
-                            beta_cap=self.beta_cap)
+        return phi_envelope(self.pp, s)
 
 
 def make_phi_spec(pp: ParameterPoint, fs: FlowSetting | None = None,
                   envelope: bool = False) -> PhiSpec:
     """Select the improvement-function variant for a parameter point."""
-    sup = _s_sup(pp.p)
     if envelope:
-        return PhiSpec(pp=pp, variant="envelope", admissible_s_sup=sup)
+        return PhiSpec(pp=pp, variant="envelope")
     if fs is not None:
         if not fs.admissible:
             raise ValidationError(
                 f"beta = {fs.beta} is not admissible at (d, p) = ({pp.d}, {pp.p})"
             )
-        return PhiSpec(pp=pp, variant="beta-flow", admissible_s_sup=sup, fs=fs)
+        return PhiSpec(pp=pp, variant="beta-flow", fs=fs)
     variant = "log-case" if _is_log_branch(pp) else "closed-form"
-    return PhiSpec(pp=pp, variant=variant, admissible_s_sup=sup)
+    return PhiSpec(pp=pp, variant=variant)
 
 
 # ---------------------------------------------------------------------------

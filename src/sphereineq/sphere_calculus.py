@@ -57,10 +57,10 @@ class UltrasphericalRule:
     Nodes and weights integrate polynomials up to degree 2n - 1 exactly; the
     normalization constant comes from the Beta function so that the weights
     sum to one up to roundoff.  The spectral basis (orthonormal ultraspherical
-    polynomials) and its derivative matrix are built lazily and cached.
+    polynomials) is built lazily and cached.
     """
 
-    __slots__ = ("d", "n", "nodes", "weights", "exactness_degree", "_basis", "_dbasis", "_eigenvalues")
+    __slots__ = ("d", "n", "nodes", "weights", "exactness_degree", "_basis", "_eigenvalues")
 
     def __init__(self, d: int, n: int):
         d = validate_dimension(d)
@@ -77,27 +77,18 @@ class UltrasphericalRule:
         self.weights = weights
         self.exactness_degree = 2 * n - 1
         self._basis = None
-        self._dbasis = None
         self._eigenvalues = None
 
     def _build_basis(self) -> None:
         a = 0.5 * self.d - 1.0
         n = self.n
         P = np.empty((n, n))
-        D = np.zeros((n, n))
         for k in range(n):
             P[:, k] = eval_jacobi(k, a, a, self.nodes)
-            if k >= 1:
-                D[:, k] = 0.5 * (k + 2.0 * a + 1.0) * eval_jacobi(
-                    k - 1, a + 1.0, a + 1.0, self.nodes
-                )
         norms = np.sqrt(np.sum(self.weights[:, None] * P * P, axis=0))
         P /= norms
-        D /= norms
         P.setflags(write=False)
-        D.setflags(write=False)
         self._basis = P
-        self._dbasis = D
         k = np.arange(n, dtype=float)
         eigs = k * (k + self.d - 1.0)
         eigs.setflags(write=False)
@@ -109,13 +100,6 @@ class UltrasphericalRule:
         if self._basis is None:
             self._build_basis()
         return self._basis
-
-    @property
-    def derivative_basis(self) -> np.ndarray:
-        """Matrix of z-derivatives of the orthonormal basis at the nodes."""
-        if self._dbasis is None:
-            self._build_basis()
-        return self._dbasis
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -203,11 +187,6 @@ class AxiFunction:
             coeffs.setflags(write=False)
             self._coefficients = coeffs
         return self._coefficients
-
-    @property
-    def derivative_values(self) -> np.ndarray:
-        """du/dz at the nodes, evaluated through the spectral basis."""
-        return self.rule.derivative_basis @ self.coefficients
 
     @property
     def is_positive(self) -> bool:

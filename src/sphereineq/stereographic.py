@@ -43,7 +43,6 @@ __all__ = [
     "equality_profile_second_moment",
     "euclidean_deficit",
     "euclidean_norms",
-    "pull_back",
     "push_forward",
     "radial_profile_from_samples",
     "radial_second_moment",
@@ -53,42 +52,23 @@ __all__ = [
 _MOMENT_TOL = 1.0e-8
 
 
-def _require_flat_dimension(d: int) -> None:
-    if d < 2:
-        raise ValidationError(
-            "the radial pairing needs d >= 2: at d = 1 the equality profile "
-            "has no square-integrable gradient"
-        )
-
-
 @dataclass(frozen=True)
 class RadialEuclideanFunction:
-    """Radial profile v(|x|) on R^d sampled on the image of a sphere grid.
+    """Radial profile v(|x|) on R^d, viewed through its paired sphere function.
 
-    r holds the radii sqrt((1 + z)/(1 - z)) of the quadrature nodes z of the
-    paired sphere function, values holds v at those radii, and sphere is the
-    paired axisymmetric function u(z) = ((1 + r^2)/2)^((d-2)/2) v(r).
+    sphere is the axisymmetric function u(z) = ((1 + r^2)/2)^((d-2)/2) v(r);
+    r holds the radii sqrt((1 + z)/(1 - z)) of its quadrature nodes z, and
+    values holds v at those radii, both computed from sphere.
     """
 
     sphere: AxiFunction
-    r: np.ndarray
-    values: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.r, dtype=float).ravel()
-        vals = np.asarray(self.values, dtype=float).ravel()
-        n = self.sphere.rule.n
-        if r.size != n or vals.size != n:
+        if self.sphere.rule.d < 2:
             raise ValidationError(
-                f"expected {n} radial samples to pair with the sphere grid, "
-                f"got {r.size} radii and {vals.size} values"
+                "the radial pairing needs d >= 2: at d = 1 the equality profile "
+                "has no square-integrable gradient"
             )
-        if not np.all(np.isfinite(vals)):
-            raise ValidationError("radial samples must be finite")
-        r.setflags(write=False)
-        vals.setflags(write=False)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "values", vals)
 
     @property
     def d(self) -> int:
@@ -98,54 +78,43 @@ class RadialEuclideanFunction:
     def node_count(self) -> int:
         return self.sphere.rule.n
 
+    @property
+    def r(self) -> np.ndarray:
+        z = self.sphere.rule.nodes
+        return np.sqrt((1.0 + z) / (1.0 - z))
+
+    @property
+    def values(self) -> np.ndarray:
+        z = self.sphere.rule.nodes
+        return self.sphere.values * (1.0 - z) ** (0.5 * (self.d - 2.0))
+
     def __repr__(self) -> str:
         return f"RadialEuclideanFunction(d={self.d}, n={self.node_count})"
 
 
-def _grid_radii(nodes: np.ndarray) -> np.ndarray:
-    return np.sqrt((1.0 + nodes) / (1.0 - nodes))
-
-
 def push_forward(u: AxiFunction) -> RadialEuclideanFunction:
     """Radial flat-space profile paired with the sphere function u."""
-    _require_flat_dimension(u.rule.d)
-    z = u.rule.nodes
-    factor = (1.0 - z) ** (0.5 * (u.rule.d - 2.0))
-    return RadialEuclideanFunction(
-        sphere=u, r=_grid_radii(z), values=u.values * factor
-    )
-
-
-def pull_back(v: RadialEuclideanFunction) -> AxiFunction:
-    """Sphere function recomputed from the radial samples.
-
-    Inverse of push_forward on the shared grid: u = ((1 + r^2)/2)^((d-2)/2) v.
-    """
-    z = v.sphere.rule.nodes
-    factor = (1.0 - z) ** (-0.5 * (v.d - 2.0))
-    return AxiFunction(v.sphere.rule, values=v.values * factor)
+    return RadialEuclideanFunction(u)
 
 
 def radial_profile_from_samples(d: int, values) -> RadialEuclideanFunction:
     """Wrap v samples given on the canonical radial grid of an n-point rule."""
-    _require_flat_dimension(int(d))
     vals = np.asarray(values, dtype=float).ravel()
     if vals.size < 2:
         raise ValidationError(f"need at least 2 radial samples, got {vals.size}")
     rule = make_rule(int(d), vals.size)
     z = rule.nodes
-    sphere = AxiFunction(rule, values=vals * (1.0 - z) ** (-0.5 * (d - 2.0)))
-    return RadialEuclideanFunction(sphere=sphere, r=_grid_radii(z), values=vals)
+    return RadialEuclideanFunction(
+        AxiFunction(rule, values=vals * (1.0 - z) ** (-0.5 * (d - 2.0)))
+    )
 
 
 def equality_profile(d: int, node_count: int = 48) -> RadialEuclideanFunction:
     """Profile (1 + r^2)^((2-d)/2) saturating the weighted bound (v = 1 at d = 2)."""
-    _require_flat_dimension(int(d))
     rule = make_rule(int(d), int(node_count))
-    z = rule.nodes
-    vals = (0.5 * (1.0 - z)) ** (0.5 * (d - 2.0))
-    sphere = AxiFunction(rule, values=np.full(rule.n, 2.0 ** (-0.5 * (d - 2.0))))
-    return RadialEuclideanFunction(sphere=sphere, r=_grid_radii(z), values=vals)
+    return RadialEuclideanFunction(
+        AxiFunction(rule, values=np.full(rule.n, 2.0 ** (-0.5 * (d - 2.0))))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -35,78 +35,16 @@ from .sphere_calculus import (
 __all__ = [
     "BestConstantResult",
     "KLTReport",
-    "RayleighProblem",
     "SweepCurve",
     "best_constant",
     "bound_curve_sweep",
     "klt_validate",
-    "make_rayleigh_problem",
     "principal_eigenvalue",
 ]
 
 
 # ---------------------------------------------------------------------------
 # Rayleigh quotient minimization
-
-
-@dataclass(frozen=True)
-class RayleighProblem:
-    """Quotient minimization instance for one interpolation inequality.
-
-    functional_id is "mu_from_lambda" for p > 2 (gradient-plus-L2 over Lp,
-    optimal value mu(lambda)) and "lambda_from_mu" for p < 2
-    (gradient-plus-Lp over L2, optimal value lambda(mu)).
-    """
-
-    pp: ParameterPoint
-    functional_id: str
-    value: float
-    node_count: int
-    max_iters: int
-    grad_tol: float
-    restarts: int
-    seed: int
-
-
-def make_rayleigh_problem(
-    pp: ParameterPoint,
-    *,
-    lam: float | None = None,
-    mu: float | None = None,
-    node_count: int = 48,
-    max_iters: int = 1500,
-    grad_tol: float = 1.0e-11,
-    restarts: int = 8,
-    seed: int = 0,
-) -> RayleighProblem:
-    if pp.p == 2.0:
-        raise ValidationError("quotient minimization needs p != 2")
-    if pp.p > 2.0:
-        if lam is None or mu is not None:
-            raise ValidationError("p > 2 minimizes mu(lambda): pass lam only")
-        if not (math.isfinite(lam) and lam > 0.0):
-            raise ValidationError(f"lam must be positive, got {lam}")
-        functional_id, value = "mu_from_lambda", float(lam)
-    else:
-        if mu is None or lam is not None:
-            raise ValidationError("p < 2 minimizes lambda(mu): pass mu only")
-        if not (math.isfinite(mu) and mu > 0.0):
-            raise ValidationError(f"mu must be positive, got {mu}")
-        functional_id, value = "lambda_from_mu", float(mu)
-    if node_count < 8:
-        raise ValidationError(f"node_count must be >= 8, got {node_count}")
-    if restarts < 0:
-        raise ValidationError("restarts must be >= 0")
-    return RayleighProblem(
-        pp=pp,
-        functional_id=functional_id,
-        value=value,
-        node_count=int(node_count),
-        max_iters=int(max_iters),
-        grad_tol=float(grad_tol),
-        restarts=int(restarts),
-        seed=int(seed),
-    )
 
 
 @dataclass(frozen=True)
@@ -119,10 +57,6 @@ class BestConstantResult:
     iterations: int
     start_values: tuple
 
-    def __iter__(self):
-        yield self.value
-        yield self.minimizer
-
 
 # log u is clipped to [-40, 40]; 0-d arrays skip the per-call conversion of
 # a Python float in the ufuncs below
@@ -133,11 +67,11 @@ _LOG_U_MAX = np.array(40.0)
 class _QuotientModel:
     """Quotient and analytic gradient in log-profile coefficient space."""
 
-    def __init__(self, problem: RayleighProblem):
-        self.rule = make_rule(problem.pp.d, problem.node_count)
-        self.pp = problem.pp
-        self.coef = problem.value
-        self.mu_mode = problem.functional_id == "mu_from_lambda"
+    def __init__(self, pp: ParameterPoint, value: float, node_count: int):
+        self.rule = make_rule(pp.d, node_count)
+        self.pp = pp
+        self.coef = value
+        self.mu_mode = pp.p > 2.0
         self.basis = self.rule.basis
         # 2 B^T is exact (a power-of-two scale) and keeps the column-major
         # layout of B^T, on which the rounding of the BLAS products depends
@@ -194,15 +128,16 @@ class _QuotientModel:
 
 # L-BFGS-B settings of every descent round: memory, the relative-decrease
 # tolerance ftol = 1e-17 expressed as a multiple of the machine epsilon (the
-# form setulb takes), and the evaluation and line-search caps that
-# scipy.optimize.minimize applies by default.
+# form setulb takes), the projected-gradient tolerance, and the evaluation and
+# line-search caps that scipy.optimize.minimize applies by default.
 _LBFGS_MEMORY = 20
 _LBFGS_FACTR = 1.0e-17 / np.finfo(float).eps
+_LBFGS_PGTOL = 1.0e-11
 _LBFGS_MAXFUN = 15000
 _LBFGS_MAXLS = 20
 
 
-def _lbfgsb(fun_and_grad, x0: np.ndarray, max_iters: int, grad_tol: float):
+def _lbfgsb(fun_and_grad, x0: np.ndarray, max_iters: int):
     """Unbounded L-BFGS-B through the reverse-communication routine setulb.
 
     This is the loop of scipy.optimize.minimize(method="L-BFGS-B", jac=True)
@@ -233,7 +168,7 @@ def _lbfgsb(fun_and_grad, x0: np.ndarray, max_iters: int, grad_tol: float):
     nit = 0
     while True:
         _lbfgsb.setulb(
-            m, x, lower, upper, nbd, f, g, _LBFGS_FACTR, grad_tol, wa, iwa,
+            m, x, lower, upper, nbd, f, g, _LBFGS_FACTR, _LBFGS_PGTOL, wa, iwa,
             task, lsave, isave, dsave, _LBFGS_MAXLS, ln_task,
         )
         if task[0] == 3:  # evaluate f and g at x
@@ -252,7 +187,7 @@ def _lbfgsb(fun_and_grad, x0: np.ndarray, max_iters: int, grad_tol: float):
     return x, f, nit, bool(task[0] == 4)
 
 
-def _descend(model: _QuotientModel, c0: np.ndarray, max_iters: int, grad_tol: float):
+def _descend(model: _QuotientModel, c0: np.ndarray, max_iters: int):
     """Quasi-Newton descent on the quotient; returns (value, c, converged, iters).
 
     Plain gradient steps stall in the nearly-flat valleys of this quotient
@@ -276,7 +211,7 @@ def _descend(model: _QuotientModel, c0: np.ndarray, max_iters: int, grad_tol: fl
     prev = math.inf
     converged = False
     for _ in range(6):
-        y, fun, round_iters, success = _lbfgsb(rescaled, y, max_iters, grad_tol)
+        y, fun, round_iters, success = _lbfgsb(rescaled, y, max_iters)
         nit += round_iters
         if prev - fun < 1.0e-13 * max(1.0, abs(fun)):
             converged = True
@@ -288,16 +223,36 @@ def _descend(model: _QuotientModel, c0: np.ndarray, max_iters: int, grad_tol: fl
     return float(q), c, converged, nit
 
 
-def best_constant(problem: RayleighProblem) -> BestConstantResult:
+def best_constant(
+    pp: ParameterPoint,
+    value: float,
+    *,
+    node_count: int = 48,
+    max_iters: int = 1500,
+    restarts: int = 8,
+    seed: int = 0,
+) -> BestConstantResult:
     """Minimize the interpolation quotient by multi-start descent.
 
-    The constant profile is always the first start; the remaining starts are
-    seeded band-limited perturbations of it.  The reported value is an upper
-    bound for the true optimal constant that tightens with resolution.
+    For p > 2, value is lambda and the quotient is gradient-plus-L2 over Lp,
+    whose minimum is mu(lambda); for p < 2, value is mu and the quotient is
+    gradient-plus-Lp over L2, whose minimum is lambda(mu).  The constant
+    profile is always the first start; the remaining starts are seeded
+    band-limited perturbations of it.  The reported value is an upper bound
+    for the true optimal constant that tightens with resolution.
     """
-    model = _QuotientModel(problem)
-    n = problem.node_count
-    rng = np.random.default_rng(problem.seed)
+    if pp.p == 2.0:
+        raise ValidationError("quotient minimization needs p != 2")
+    name = "lam" if pp.p > 2.0 else "mu"
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValidationError(f"{name} must be positive, got {value}")
+    if node_count < 8:
+        raise ValidationError(f"node_count must be >= 8, got {node_count}")
+    if restarts < 0:
+        raise ValidationError("restarts must be >= 0")
+    n = int(node_count)
+    model = _QuotientModel(pp, float(value), n)
+    rng = np.random.default_rng(int(seed))
     starts = [np.zeros(n)]
     # the first symmetry-breaking bifurcation is along mode 1, so seed it
     # explicitly in both orientations next to the constant start
@@ -306,27 +261,23 @@ def best_constant(problem: RayleighProblem) -> BestConstantResult:
         c[1] = tilt
         starts.append(c)
     degree = min(8, n - 1)
-    for _ in range(problem.restarts):
+    for _ in range(int(restarts)):
         c = np.zeros(n)
         c[1 : degree + 1] = 0.3 * rng.standard_normal(degree)
         starts.append(c)
     best = None
     start_values = []
     total_iters = 0
-    any_converged = False
     for c0 in starts:
-        value, c, converged, iters = _descend(
-            model, c0, problem.max_iters, problem.grad_tol
-        )
-        start_values.append(value)
+        q, c, converged, iters = _descend(model, c0, int(max_iters))
+        start_values.append(q)
         total_iters += iters
-        any_converged = any_converged or converged
-        if best is None or value < best[0]:
-            best = (value, c, converged)
-    value, c, converged = best
+        if best is None or q < best[0]:
+            best = (q, c, converged)
+    q, c, converged = best
     minimizer = AxiFunction(model.rule, values=model.profile(model.normalize(c)))
     return BestConstantResult(
-        value=float(value),
+        value=float(q),
         minimizer=minimizer,
         converged=bool(converged),
         iterations=total_iters,
@@ -378,15 +329,10 @@ def bound_curve_sweep(
     thm2 = []
     prop34 = [] if fast_range else None
     for k, lam in enumerate(lams):
-        problem = make_rayleigh_problem(
-            pp,
-            lam=lam,
-            node_count=node_count,
-            restarts=restarts,
-            max_iters=max_iters,
-            seed=seed + k,
+        result = best_constant(
+            pp, lam, node_count=node_count, restarts=restarts,
+            max_iters=max_iters, seed=seed + k,
         )
-        result = best_constant(problem)
         numeric.append(result.value)
         flags.append(result.converged)
         iterations.append(result.iterations)

@@ -117,8 +117,7 @@ def certification_interval(pp):
     double-precision derivative estimate can certify an absolute residual,
     while a wrong constant in phi would already show at order one here.
     """
-    spec = make_phi_spec(pp)
-    sup = spec.admissible_s_sup
+    sup = 1.0 / (pp.p - 2.0) if pp.p > 2.0 else math.inf
     hi = 0.85 * sup if math.isfinite(sup) else 3.0
     if phi_closed_form(pp, hi) > PHI_CAP:
         lo, up = 0.0, hi

@@ -295,8 +295,25 @@ class TestFlow:
             ),
             write_config(tmp_path / "c7.json", initial={"kind": "affine", "amplitude": -2.0}),
         ]
+        # JSON values of the wrong type, which int()/float()/bool() used to
+        # turn into silent changes (d = 3.7 ran at d = 3, "false" turned
+        # the antipodal mode on)
+        wrong_types = [
+            {"d": 3.7}, {"d": 3.0}, {"d": True}, {"d": "3"}, {"p": "3"}, {"p": True},
+            {"antipodal": "false"}, {"antipodal": 0}, {"mode": ["heat"]},
+            {"node_count": 24.0}, {"sample_count": "65"}, {"time_horizon": None},
+            {"initial": [0.1]},
+            {"initial": {"kind": "even", "amplitude": "0.1"}},
+            {"initial": {"kind": "even", "amplitude": False}},
+            {"initial": {"kind": "coefficients", "coefficients": "1.0"}},
+            {"initial": {"kind": "coefficients", "coefficients": [1.0, "0.1"]}},
+            {"initial": {"kind": "coefficients", "coefficients": [1.0, True]}},
+        ]
+        for k, overrides in enumerate(wrong_types):
+            bad.append(write_config(tmp_path / f"t{k}.json", **overrides))
         for config in bad:
             assert run_cli("flow", str(config), "--out-dir", str(tmp_path)) == 2, config
+        assert not list(tmp_path.glob("flow_*"))
 
         # json.loads accepts NaN; a NaN tolerance used to hang the step control
         nan_rtol = tmp_path / "nan_rtol.json"

@@ -171,9 +171,6 @@ class TestDispatcher:
     def test_phi_spec_variants(self):
         assert make_phi_spec(make_parameter_point(3, 3.0)).variant == "closed-form"
         assert make_phi_spec(make_parameter_point(1, 1.75)).variant == "log-case"
-        spec = make_phi_spec(make_parameter_point(3, 3.0))
-        assert spec.admissible_s_sup == pytest.approx(1.0)
-        assert math.isinf(make_phi_spec(make_parameter_point(3, 1.5)).admissible_s_sup)
         fs = make_flow_setting(make_parameter_point(3, 5.0), 1.2)
         assert make_phi_spec(fs.pp, fs=fs).variant == "beta-flow"
         assert make_phi_spec(fs.pp, envelope=True).variant == "envelope"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
+from scipy.special import eval_jacobi
 
 from sphereineq.errors import ValidationError
 from sphereineq.exponents import make_flow_setting, make_parameter_point
@@ -238,12 +239,22 @@ class TestDirichlet:
             assert by_parts == pytest.approx(dirichlet(u), abs=1e-10)
 
     def test_value_space_consistency(self):
+        # du/dz from d/dz P_k^(a,a) = (k + 2a + 1)/2 P_(k-1)^(a+1,a+1), each
+        # scaled by the norm of P_k^(a,a) as the orthonormal basis is
         rng = np.random.default_rng(11)
         rule = make_rule(4, 40)
+        a = 0.5 * rule.d - 1.0
+        z = rule.nodes
+        raw = np.stack([eval_jacobi(k, a, a, z) for k in range(rule.n)], axis=1)
+        norms = np.sqrt(rule.weights @ raw**2)
+        dbasis = np.zeros((rule.n, rule.n))
+        for k in range(1, rule.n):
+            dk = 0.5 * (k + 2.0 * a + 1.0) * eval_jacobi(k - 1, a + 1.0, a + 1.0, z)
+            dbasis[:, k] = dk / norms[k]
         for _ in range(20):
             coeffs = rng.normal(size=13)
             u = AxiFunction(rule, coefficients=coeffs)
-            du = u.derivative_values
+            du = dbasis @ u.coefficients
             value_form = rule.integrate((1.0 - rule.nodes**2) * du**2)
             assert value_form == pytest.approx(dirichlet(u), abs=1e-9)
 

@@ -27,7 +27,6 @@ from sphereineq.variational import (
     best_constant,
     bound_curve_sweep,
     klt_validate,
-    make_rayleigh_problem,
     principal_eigenvalue,
 )
 
@@ -37,34 +36,27 @@ D3P15 = make_parameter_point(3, 1.5)
 
 class TestProblemValidation:
     def test_p_equal_two_rejected(self):
-        with pytest.raises(ValidationError):
-            make_rayleigh_problem(make_parameter_point(3, 2.0), lam=1.0)
+        with pytest.raises(ValidationError, match="p != 2"):
+            best_constant(make_parameter_point(3, 2.0), 1.0)
 
-    def test_argument_pairing(self):
-        with pytest.raises(ValidationError):
-            make_rayleigh_problem(D3P3, mu=1.0)
-        with pytest.raises(ValidationError):
-            make_rayleigh_problem(D3P3, lam=1.0, mu=1.0)
-        with pytest.raises(ValidationError):
-            make_rayleigh_problem(D3P15, lam=1.0)
-        with pytest.raises(ValidationError):
-            make_rayleigh_problem(D3P3, lam=-2.0)
-        with pytest.raises(ValidationError):
-            make_rayleigh_problem(D3P3, lam=1.0, node_count=4)
-
-    def test_functional_ids(self):
-        assert make_rayleigh_problem(D3P3, lam=1.0).functional_id == "mu_from_lambda"
-        assert make_rayleigh_problem(D3P15, mu=1.0).functional_id == "lambda_from_mu"
+    @pytest.mark.parametrize("pp,name", [(D3P3, "lam"), (D3P15, "mu")])
+    def test_invalid_arguments_rejected(self, pp, name):
+        for value in (-2.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValidationError, match=f"{name} must be positive"):
+                best_constant(pp, value)
+        with pytest.raises(ValidationError, match="node_count"):
+            best_constant(pp, 1.0, node_count=4)
+        with pytest.raises(ValidationError, match="restarts"):
+            best_constant(pp, 1.0, restarts=-1)
 
 
 class TestGradient:
     @pytest.mark.parametrize(
         "pp,kwargs",
-        [(D3P3, {"lam": 2.0}), (D3P15, {"mu": 1.5}), (make_parameter_point(2, 4.0), {"lam": 1.3})],
+        [(D3P3, {"value": 2.0}), (D3P15, {"value": 1.5}), (make_parameter_point(2, 4.0), {"value": 1.3})],
     )
     def test_matches_finite_differences(self, pp, kwargs):
-        problem = make_rayleigh_problem(pp, node_count=24, **kwargs)
-        model = _QuotientModel(problem)
+        model = _QuotientModel(pp, node_count=24, **kwargs)
         rng = np.random.default_rng(3)
         c = 0.2 * rng.standard_normal(24)
         _, grad = model.quotient_and_gradient(c)
@@ -107,14 +99,14 @@ class TestKernelBits:
     @pytest.mark.parametrize(
         "pp,kwargs",
         [
-            (D3P3, {"lam": 2.0}),
-            (D3P15, {"mu": 1.5}),
-            (make_parameter_point(2, 4.0), {"lam": 1.3}),
-            (make_parameter_point(4, 3.5), {"lam": 5.0}),
+            (D3P3, {"value": 2.0}),
+            (D3P15, {"value": 1.5}),
+            (make_parameter_point(2, 4.0), {"value": 1.3}),
+            (make_parameter_point(4, 3.5), {"value": 5.0}),
         ],
     )
     def test_matches_reference_bit_for_bit(self, pp, kwargs):
-        model = _QuotientModel(make_rayleigh_problem(pp, **kwargs))
+        model = _QuotientModel(pp, node_count=48, **kwargs)
         rng = np.random.default_rng(11)
         decay = 1.0 + np.arange(48)
         clipped = 0
@@ -136,7 +128,7 @@ class TestLBFGSLoop:
     def test_matches_scipy_minimize_bit_for_bit(self, start):
         from scipy.optimize import minimize
 
-        model = _QuotientModel(make_rayleigh_problem(D3P3, lam=2.0))
+        model = _QuotientModel(D3P3, 2.0, 48)
         scale = 1.0 / np.sqrt(1.0 + model.eigs)
 
         def rescaled(y):
@@ -149,7 +141,7 @@ class TestLBFGSLoop:
         elif start == "random":
             c0[1:9] = 0.3 * np.random.default_rng(5).standard_normal(8)
         y0 = model.normalize(c0) / scale
-        x, fun, nit, success = _lbfgsb(rescaled, y0, 200, 1.0e-11)
+        x, fun, nit, success = _lbfgsb(rescaled, y0, 200)
         ref = minimize(
             rescaled,
             y0,
@@ -166,14 +158,14 @@ class TestLBFGSLoop:
 class TestBestConstant:
     @pytest.mark.parametrize("lam", [0.25, 0.5, 1.0])
     def test_identity_regime(self, lam):
-        result = best_constant(make_rayleigh_problem(D3P3, lam=lam, restarts=2))
+        result = best_constant(D3P3, lam, restarts=2)
         assert abs(result.value - lam) < 1e-5
         assert result.converged
         coeffs = result.minimizer.coefficients
         assert coeffs[0] ** 2 / np.sum(coeffs**2) >= 0.9999
 
     def test_symmetry_breaking_at_lam2(self):
-        result = best_constant(make_rayleigh_problem(D3P3, lam=2.0, restarts=2))
+        result = best_constant(D3P3, 2.0, restarts=2)
         assert mu_lower_thm2(D3P3, 2.0) <= result.value <= 2.0
         assert result.value < 2.0 - 0.1
         # value cross-checked against independent unpreconditioned descents
@@ -181,30 +173,28 @@ class TestBestConstant:
         assert abs(result.value - 1.7063646701) < 1e-6
 
     def test_lam5_bracket(self):
-        result = best_constant(make_rayleigh_problem(D3P3, lam=5.0, restarts=2))
+        result = best_constant(D3P3, 5.0, restarts=2)
         assert mu_lower_prop34(D3P3, 5.0) < mu_lower_thm2(D3P3, 5.0) <= result.value
         assert result.value <= 5.0
         assert abs(result.value - 2.9204346823) < 1e-6
 
     def test_node_refinement_stability(self):
-        r32 = best_constant(make_rayleigh_problem(D3P3, lam=2.0, node_count=32, restarts=1))
-        r64 = best_constant(make_rayleigh_problem(D3P3, lam=2.0, node_count=64, restarts=1))
+        r32 = best_constant(D3P3, 2.0, node_count=32, restarts=1)
+        r64 = best_constant(D3P3, 2.0, node_count=64, restarts=1)
         assert abs(r32.value - r64.value) < 1e-4
 
     def test_reverse_regime(self):
         for mu in (0.5, 1.0):
-            result = best_constant(make_rayleigh_problem(D3P15, mu=mu, restarts=2))
+            result = best_constant(D3P15, mu, restarts=2)
             assert abs(result.value - mu) < 1e-5
-        result = best_constant(make_rayleigh_problem(D3P15, mu=2.0, restarts=2))
+        result = best_constant(D3P15, 2.0, restarts=2)
         assert lambda_lower_thm2(D3P15, 2.0) <= result.value + 1e-9
         assert result.value <= 2.0
         assert result.value < 2.0 - 0.1
 
     def test_result_shape(self):
-        result = best_constant(make_rayleigh_problem(D3P3, lam=0.5, restarts=3))
-        value, minimizer = result
-        assert value == result.value
-        assert minimizer is result.minimizer
+        result = best_constant(D3P3, 0.5, restarts=3)
+        assert result.value == min(result.start_values)
         assert len(result.start_values) == 3 + 3
         assert result.minimizer.is_positive
 
@@ -233,9 +223,7 @@ class TestSweep:
         curve = bound_curve_sweep(D3P3, [0.5, 2.0], restarts=1, node_count=24, seed=3)
         assert len(curve.iterations) == 2
         for k, lam in enumerate(curve.lams):
-            result = best_constant(
-                make_rayleigh_problem(D3P3, lam=lam, restarts=1, node_count=24, seed=3 + k)
-            )
+            result = best_constant(D3P3, lam, restarts=1, node_count=24, seed=3 + k)
             assert curve.numeric[k] == result.value
             assert curve.iterations[k] == result.iterations > 0
             assert curve.converged[k] == result.converged
