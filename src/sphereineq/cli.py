@@ -254,6 +254,7 @@ def cmd_figure1(args) -> tuple[int, str, dict]:
         "diagnostics": {
             "lambda": list(curve.lams),
             "iterations": list(curve.iterations),
+            "start_values": list(curve.start_values),
             "converged": list(curve.converged),
         },
     }

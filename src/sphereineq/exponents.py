@@ -42,8 +42,6 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from scipy.special import gammaln
-
 from .errors import ValidationError
 
 __all__ = [
@@ -70,13 +68,74 @@ def validate_dimension(d) -> int:
     Any integral d >= 1 is accepted, numpy integers included, so that
     values taken from arrays work; bool is rejected although it is integral.
     """
+    if type(d) is int and d >= 1:
+        return d  # the common case, without the slower numbers.Integral check
     if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
         raise ValidationError(f"dimension d must be an integer >= 1, got {d!r}")
     return int(d)
 
 
+# Cephes lgam coefficients: the Stirling-series correction for x >= 13 and
+# the rational approximation of log Gamma on [2, 3), whose denominator has
+# leading coefficient 1.
+_LGAM_A = (
+    8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+    -2.77777777730099687205e-3, 8.33333333333331927722e-2,
+)
+_LGAM_B = (
+    -1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+    -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5,
+)
+_LGAM_C = (
+    -3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+    -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6,
+)
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+
+
+def _lgamma(x: float) -> float:
+    """log Gamma(x) for x > 0, a step-for-step port of Cephes lgam.
+
+    S. L. Moshier, Methods and Programs for Mathematical Functions (1989).
+    scipy.special.gammaln runs the same routine, so the two agree bit for
+    bit; math.lgamma rounds differently at about half of the half-integers.
+    The polynomials are Cephes' polevl/p1evl written out, in Horner order.
+    """
+    if x < 13.0:
+        # shift the argument into [2, 3) by the recurrence Gamma(x+1) = x Gamma(x)
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        p -= 2.0
+        x = x + p
+        b0, b1, b2, b3, b4, b5 = _LGAM_B
+        c0, c1, c2, c3, c4, c5 = _LGAM_C
+        num = ((((b0 * x + b1) * x + b2) * x + b3) * x + b4) * x + b5
+        den = (((((x + c0) * x + c1) * x + c2) * x + c3) * x + c4) * x + c5
+        return math.log(z) + x * num / den
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        q += ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+              + 0.0833333333333333333333) / x
+    else:
+        a0, a1, a2, a3, a4 = _LGAM_A
+        q += ((((a0 * p + a1) * p + a2) * p + a3) * p + a4) / x
+    return q
+
+
 def _log_sphere_surface(d: int) -> float:
-    return math.log(2.0) + 0.5 * (d + 1) * math.log(math.pi) - gammaln(0.5 * (d + 1))
+    return math.log(2.0) + 0.5 * (d + 1) * math.log(math.pi) - _lgamma(0.5 * (d + 1))
 
 
 def sphere_surface(d: int) -> float:
@@ -84,9 +143,7 @@ def sphere_surface(d: int) -> float:
 
     Evaluated through log-Gamma so large d does not overflow.
     """
-    if d < 1:
-        raise ValidationError(f"dimension must be a positive integer, got {d}")
-    return math.exp(_log_sphere_surface(d))
+    return math.exp(_log_sphere_surface(validate_dimension(d)))
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_jacobi, gammaln, roots_jacobi
 
 from .bounds import _default_lambda_star, afst_constants, antipodal_constant
 from .errors import ValidationError
-from .exponents import ParameterPoint, validate_dimension
+from .exponents import ParameterPoint, _lgamma, validate_dimension
 from .phi_functions import PhiSpec, phi
 
 __all__ = [
@@ -47,7 +46,7 @@ def _inverse_mass(d: int) -> float:
     Scales raw Gauss-Jacobi weights for that measure (or for the measure
     times (1 + z)/(1 - z)) to the normalized sphere measure.
     """
-    log_mass = 0.5 * math.log(math.pi) + gammaln(0.5 * d) - gammaln(0.5 * (d + 1))
+    log_mass = 0.5 * math.log(math.pi) + _lgamma(0.5 * d) - _lgamma(0.5 * (d + 1))
     return math.exp(-log_mass)
 
 
@@ -63,6 +62,8 @@ class UltrasphericalRule:
     __slots__ = ("d", "n", "nodes", "weights", "exactness_degree", "_basis", "_eigenvalues")
 
     def __init__(self, d: int, n: int):
+        from scipy.special import roots_jacobi
+
         d = validate_dimension(d)
         if not isinstance(n, (int, np.integer)) or n < 2:
             raise ValidationError(f"node count n too small: need n >= 2, got {n!r}")
@@ -80,6 +81,8 @@ class UltrasphericalRule:
         self._eigenvalues = None
 
     def _build_basis(self) -> None:
+        from scipy.special import eval_jacobi
+
         a = 0.5 * self.d - 1.0
         n = self.n
         P = np.empty((n, n))

@@ -293,8 +293,9 @@ def best_constant(
 class SweepCurve:
     """Numeric optimal constant across a grid with the analytic lower bounds.
 
-    converged and iterations hold, per grid value, the solver flag and the
-    total L-BFGS iteration count of best_constant over all its starts.
+    converged, iterations and start_values hold, per grid value, the solver
+    flag, the total L-BFGS iteration count of best_constant over all its
+    starts, and the quotient value each start reached.
     """
 
     pp: ParameterPoint
@@ -304,6 +305,7 @@ class SweepCurve:
     prop34: tuple | None
     converged: tuple
     iterations: tuple
+    start_values: tuple
 
 
 def bound_curve_sweep(
@@ -326,6 +328,7 @@ def bound_curve_sweep(
     numeric = []
     flags = []
     iterations = []
+    start_values = []
     thm2 = []
     prop34 = [] if fast_range else None
     for k, lam in enumerate(lams):
@@ -336,6 +339,7 @@ def bound_curve_sweep(
         numeric.append(result.value)
         flags.append(result.converged)
         iterations.append(result.iterations)
+        start_values.append(result.start_values)
         thm2.append(mu_lower_thm2(pp, lam) if heat_range and lam >= 1.0 else math.nan)
         if fast_range:
             prop34.append(mu_lower_prop34(pp, lam) if lam >= 1.0 else math.nan)
@@ -347,6 +351,7 @@ def bound_curve_sweep(
         prop34=None if prop34 is None else tuple(prop34),
         converged=tuple(flags),
         iterations=tuple(iterations),
+        start_values=tuple(start_values),
     )
 
 

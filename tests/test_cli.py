@@ -174,6 +174,19 @@ class TestFigure1:
         assert payload["thm2"][0] <= payload["numeric_mu"][0]
         assert not (tmp_path / "figure1_d3_p3.csv").exists()
 
+    def test_manifest_lists_start_values(self, tmp_path):
+        code = run_cli(
+            "figure1", "--d", "3", "--p", "3", "--lambda-grid", "0.5", "1.5",
+            "--n-nodes", "24", "--restarts", "2", "--format", "json",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        numeric = load_json(tmp_path / "figure1_d3_p3.json")["numeric_mu"]
+        starts = load_json(tmp_path / "figure1_d3_p3_manifest.json")["diagnostics"]["start_values"]
+        # the constant start, two mode-1 tilts and the two random restarts
+        assert [len(values) for values in starts] == [5, 5]
+        assert [min(values) for values in starts] == numeric
+
     def test_bad_grid_exits_2(self, tmp_path):
         assert run_cli(
             "figure1", "--lambda-grid", "-1.0", "--out-dir", str(tmp_path)
@@ -530,7 +543,7 @@ _LAZY_IMPORT_PROBE = """
 import json, sys
 from sphereineq.cli import main
 code = main(sys.argv[1:]) if sys.argv[1:] else 0
-print(json.dumps([code, [m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules]]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
 
 
@@ -580,22 +593,36 @@ def test_bench_cli_commands_match_reference(tmp_path):
 
 
 def run_fresh(*argv: str):
-    """(exit code, heavy scipy modules loaded) for `main(argv)` in a new process."""
+    """(exit code, every scipy module loaded) for `main(argv)` in a new process."""
     return tuple(json.loads(python_fresh(_LAZY_IMPORT_PROBE, *argv)))
 
 
 class TestLazyScipyImports:
+    # "neither" once meant neither scipy.optimize nor scipy.linalg; these
+    # commands now load no scipy module at all
+    def test_package_import_loads_no_scipy(self):
+        probe = "import sys, sphereineq; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        assert python_fresh(probe) == "[]"
+
     def test_import_loads_neither_optimize_nor_linalg(self):
         assert run_fresh() == (0, [])
 
-    @pytest.mark.parametrize("argv", [["constants", "--d", "3", "--p", "3"], ["figure2"]])
+    @pytest.mark.parametrize("argv", [
+        ["constants", "--d", "3", "--p", "3"],
+        ["figure2"],
+        ["constants", "--d", "3", "--p", "5", "--beta", "1.2"],
+    ])
     def test_light_commands_load_neither(self, argv, tmp_path):
         assert run_fresh(*argv, "--out-dir", str(tmp_path)) == (0, [])
 
     def test_verify_ckp_loads_no_optimize(self, tmp_path):
-        # scipy.linalg still comes in through scipy.special.roots_jacobi
+        # building the quadrature rule loads scipy.special, whose roots_jacobi
+        # brings in scipy.linalg; nothing on this path loads scipy.optimize
         argv = ["verify", "ckp", "--d", "3", "--p", "3", "--n", "5", "--out-dir", str(tmp_path)]
-        assert run_fresh(*argv) == (0, ["scipy.linalg"])
+        code, modules = run_fresh(*argv)
+        assert code == 0
+        assert {"scipy.special", "scipy.linalg"} <= set(modules)
+        assert "scipy.optimize" not in modules
 
     def test_battery_cycle_skips_optimize(self, tmp_path):
         # one cycle of the benchmark's battery workload, whose envelope and

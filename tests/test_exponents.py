@@ -15,6 +15,7 @@ from sphereineq import (
     make_parameter_point,
     sphere_surface,
 )
+from sphereineq.exponents import _lgamma
 
 
 def gamma_direct(d, p, beta):
@@ -92,6 +93,14 @@ class TestParameterPoint:
         assert sphere_surface(3) == pytest.approx(2.0 * math.pi**2, rel=1e-15)
         # log-Gamma evaluation stays finite far beyond naive factorial overflow
         assert sphere_surface(400) > 0.0
+
+    @pytest.mark.parametrize("d", [2.5, True, 0, -1, np.float64(3.0)])
+    def test_sphere_surface_rejects_non_dimensions(self, d):
+        with pytest.raises(ValidationError):
+            sphere_surface(d)
+
+    def test_sphere_surface_accepts_numpy_integers(self):
+        assert sphere_surface(np.int64(3)) == sphere_surface(3)
 
     def test_rejects_supercritical_p(self):
         with pytest.raises(ValidationError):
@@ -300,3 +309,24 @@ class TestMRange:
         m_lo, m_hi = m_range(make_parameter_point(1, 4.0))
         assert m_lo == pytest.approx(0.5 - 1.0 / math.sqrt(2.0), rel=1e-12)
         assert m_hi == pytest.approx(0.5 + 1.0 / math.sqrt(2.0), rel=1e-12)
+
+
+def gammaln_mismatches(xs):
+    """Arguments where _lgamma differs from scipy.special.gammaln in any bit."""
+    from scipy.special import gammaln
+
+    return [x for x, e in zip(xs.tolist(), gammaln(xs).tolist()) if _lgamma(x) != e]
+
+
+class TestLogGamma:
+    """_lgamma against scipy.special.gammaln, the routine it ports, by ==."""
+
+    def test_every_half_integer_matches_gammaln(self):
+        # k/2 for k = 1..200000 reaches the x < 13, 13 <= x < 1000 and
+        # x >= 1000 branches; sphere surfaces and rule masses use these
+        assert gammaln_mismatches(np.arange(1, 200_001) / 2.0) == []
+
+    @pytest.mark.parametrize("lo, hi", [(0.01, 13.0), (13.0, 1000.0), (1000.0, 1e8), (1e8, 1e9)])
+    def test_random_arguments_match_gammaln_in_each_branch(self, lo, hi):
+        xs = np.random.default_rng(int(lo * 100)).uniform(lo, hi, 10_000)
+        assert gammaln_mismatches(xs) == []

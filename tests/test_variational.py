@@ -226,6 +226,8 @@ class TestSweep:
             result = best_constant(D3P3, lam, restarts=1, node_count=24, seed=3 + k)
             assert curve.numeric[k] == result.value
             assert curve.iterations[k] == result.iterations > 0
+            assert curve.start_values[k] == result.start_values
+            assert min(curve.start_values[k]) == curve.numeric[k]
             assert curve.converged[k] == result.converged
 
     def test_p_below_two_rejected(self):
