@@ -255,7 +255,10 @@ def cmd_figure1(args) -> tuple[int, str, dict]:
             "lambda": list(curve.lams),
             "iterations": list(curve.iterations),
             "start_values": list(curve.start_values),
+            "start_iterations": list(curve.start_iterations),
+            "clipped_starts": list(curve.clipped_starts),
             "converged": list(curve.converged),
+            "workers": curve.workers,
         },
     }
 

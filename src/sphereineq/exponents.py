@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ValidationError
 
@@ -134,6 +135,8 @@ def _lgamma(x: float) -> float:
     return q
 
 
+# keyed on the int from validate_dimension; every flat-space check asks again
+@lru_cache(maxsize=64)
 def _log_sphere_surface(d: int) -> float:
     return math.log(2.0) + 0.5 * (d + 1) * math.log(math.pi) - _lgamma(0.5 * (d + 1))
 

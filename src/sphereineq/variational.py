@@ -12,7 +12,9 @@ interpolation family against sampled potentials.
 
 from __future__ import annotations
 
+import atexit
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,13 +51,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BestConstantResult:
-    """Best quotient value found, its argmin, and solver diagnostics."""
+    """Best quotient value found, its argmin, and solver diagnostics.
+
+    iterations is the L-BFGS iteration count over all starts, start_values
+    and start_iterations the quotient value and iteration count of each
+    start in order, and clipped_starts the number of starts whose final
+    log-profile reached the clip at +-40.
+    """
 
     value: float
     minimizer: AxiFunction
     converged: bool
     iterations: int
     start_values: tuple
+    start_iterations: tuple
+    clipped_starts: int
 
 
 # log u is clipped to [-40, 40]; 0-d arrays skip the per-call conversion of
@@ -86,6 +96,10 @@ class _QuotientModel:
         np.maximum(t, _LOG_U_MIN, out=t)
         np.minimum(t, _LOG_U_MAX, out=t)
         return np.exp(t, out=t)
+
+    def touches_clip(self, c: np.ndarray) -> bool:
+        t = self.basis @ c
+        return bool(t.min() <= _LOG_U_MIN or t.max() >= _LOG_U_MAX)
 
     def normalize(self, c: np.ndarray) -> np.ndarray:
         u = self.profile(c)
@@ -223,6 +237,170 @@ def _descend(model: _QuotientModel, c0: np.ndarray, max_iters: int):
     return float(q), c, converged, nit
 
 
+# ---------------------------------------------------------------------------
+# Multi-start solves on a process pool
+
+
+# Entry points that set an OpenBLAS library's thread count, by build.
+_OPENBLAS_SET_THREADS = (
+    "scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_", "openblas_set_num_threads",
+)
+
+# (pid, pool, workers) of the pool the process with that pid built on its
+# first solve; pool is None where the descents run serially.  A forked child
+# sees its parent's entry under another pid and builds its own.
+_POOL = None
+
+
+def _pin_blas() -> None:
+    """Set every OpenBLAS this process has loaded to one thread."""
+    import ctypes
+
+    with open("/proc/self/maps") as maps:
+        libs = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for symbol in _OPENBLAS_SET_THREADS:
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                break
+
+
+def _start_worker() -> None:
+    """Pool initializer: one BLAS thread per worker, as the workers fill
+    every core already; Ctrl-C is left to the parent, which ends the pool."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _pin_blas()
+
+
+def _worker_pool():
+    """(pool, workers) of this process, built on first use.
+
+    One forked worker per CPU in the affinity mask.  With one CPU, without
+    fork, or inside a daemonic process (a pool worker cannot have children)
+    the pool is None and the descents run serially in this process.
+    """
+    global _POOL
+    pid = os.getpid()
+    if _POOL is None or _POOL[0] != pid:
+        import multiprocessing
+
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        pool = None
+        if (
+            cpus > 1
+            and "fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon
+        ):
+            # loaded here once, not again in every worker
+            import scipy.optimize._lbfgsb  # noqa: F401
+
+            pool = multiprocessing.get_context("fork").Pool(cpus, initializer=_start_worker)
+            atexit.register(_close_pool)
+        _POOL = (pid, pool, cpus if pool is not None else 1)
+    return _POOL[1], _POOL[2]
+
+
+def _close_pool(terminate: bool = False) -> None:
+    """Stop this process's pool: finish its work and join it, or with
+    terminate, kill the workers and their queued tasks."""
+    global _POOL
+    if _POOL is None or _POOL[0] != os.getpid() or _POOL[1] is None:
+        return
+    pool = _POOL[1]
+    _POOL = None
+    if terminate:
+        pool.terminate()
+    else:
+        pool.close()
+    pool.join()
+
+
+def _run_start(task):
+    """One descent, task = (pp, value, node_count, c0, max_iters)."""
+    pp, value, node_count, c0, max_iters = task
+    return _descend(_QuotientModel(pp, value, node_count), c0, max_iters)
+
+
+def _start_points(n: int, restarts: int, seed: int) -> list:
+    """The constant profile, its two mode-1 tilts, and restarts seeded
+    band-limited perturbations, as log-profile coefficients."""
+    rng = np.random.default_rng(int(seed))
+    starts = [np.zeros(n)]
+    # the first symmetry-breaking bifurcation is along mode 1, so seed it
+    # explicitly in both orientations next to the constant start
+    for tilt in (0.5, -0.5):
+        c = np.zeros(n)
+        c[1] = tilt
+        starts.append(c)
+    degree = min(8, n - 1)
+    for _ in range(int(restarts)):
+        c = np.zeros(n)
+        c[1 : degree + 1] = 0.3 * rng.standard_normal(degree)
+        starts.append(c)
+    return starts
+
+
+def _solve(pp: ParameterPoint, values, seeds, node_count, restarts, max_iters):
+    """best_constant at each (value, seed), with every start of every value
+    in one ordered pass over the worker pool; returns (results, workers)."""
+    if node_count < 8:
+        raise ValidationError(f"node_count must be >= 8, got {node_count}")
+    if restarts < 0:
+        raise ValidationError("restarts must be >= 0")
+    n = int(node_count)
+    # built ahead of the pool, so that forked workers inherit the rules
+    models = [_QuotientModel(pp, value, n) for value in values]
+    starts = [_start_points(n, restarts, seed) for seed in seeds]
+    tasks = [
+        (pp, value, n, c0, int(max_iters))
+        for value, points in zip(values, starts)
+        for c0 in points
+    ]
+    pool, workers = _worker_pool()
+    if pool is None:
+        descents = list(map(_run_start, tasks))
+    else:
+        try:
+            descents = list(pool.imap(_run_start, tasks, chunksize=1))
+        except BaseException:
+            # the workers may still hold this solve's tasks: drop them all
+            _close_pool(terminate=True)
+            raise
+    per_value = len(starts[0])
+    results = [
+        _best_of(model, descents[k * per_value : (k + 1) * per_value])
+        for k, model in enumerate(models)
+    ]
+    return results, workers
+
+
+def _best_of(model: _QuotientModel, runs) -> BestConstantResult:
+    """The lowest of the descents, the first one on ties, with their counters."""
+    best = None
+    for q, c, converged, _ in runs:
+        if best is None or q < best[0]:
+            best = (q, c, converged)
+    q, c, converged = best
+    minimizer = AxiFunction(model.rule, values=model.profile(model.normalize(c)))
+    start_iterations = tuple(int(run[3]) for run in runs)
+    return BestConstantResult(
+        value=float(q),
+        minimizer=minimizer,
+        converged=bool(converged),
+        iterations=sum(start_iterations),
+        start_values=tuple(float(run[0]) for run in runs),
+        start_iterations=start_iterations,
+        clipped_starts=sum(model.touches_clip(run[1]) for run in runs),
+    )
+
+
 def best_constant(
     pp: ParameterPoint,
     value: float,
@@ -238,51 +416,18 @@ def best_constant(
     whose minimum is mu(lambda); for p < 2, value is mu and the quotient is
     gradient-plus-Lp over L2, whose minimum is lambda(mu).  The constant
     profile is always the first start; the remaining starts are seeded
-    band-limited perturbations of it.  The reported value is an upper bound
-    for the true optimal constant that tightens with resolution.
+    band-limited perturbations of it.  The starts run in parallel on one
+    worker per CPU of the affinity mask, with the same result as one after
+    another.  The reported value is an upper bound for the true optimal
+    constant that tightens with resolution.
     """
     if pp.p == 2.0:
         raise ValidationError("quotient minimization needs p != 2")
     name = "lam" if pp.p > 2.0 else "mu"
     if not (math.isfinite(value) and value > 0.0):
         raise ValidationError(f"{name} must be positive, got {value}")
-    if node_count < 8:
-        raise ValidationError(f"node_count must be >= 8, got {node_count}")
-    if restarts < 0:
-        raise ValidationError("restarts must be >= 0")
-    n = int(node_count)
-    model = _QuotientModel(pp, float(value), n)
-    rng = np.random.default_rng(int(seed))
-    starts = [np.zeros(n)]
-    # the first symmetry-breaking bifurcation is along mode 1, so seed it
-    # explicitly in both orientations next to the constant start
-    for tilt in (0.5, -0.5):
-        c = np.zeros(n)
-        c[1] = tilt
-        starts.append(c)
-    degree = min(8, n - 1)
-    for _ in range(int(restarts)):
-        c = np.zeros(n)
-        c[1 : degree + 1] = 0.3 * rng.standard_normal(degree)
-        starts.append(c)
-    best = None
-    start_values = []
-    total_iters = 0
-    for c0 in starts:
-        q, c, converged, iters = _descend(model, c0, int(max_iters))
-        start_values.append(q)
-        total_iters += iters
-        if best is None or q < best[0]:
-            best = (q, c, converged)
-    q, c, converged = best
-    minimizer = AxiFunction(model.rule, values=model.profile(model.normalize(c)))
-    return BestConstantResult(
-        value=float(q),
-        minimizer=minimizer,
-        converged=bool(converged),
-        iterations=total_iters,
-        start_values=tuple(float(v) for v in start_values),
-    )
+    results, _ = _solve(pp, [float(value)], [seed], node_count, restarts, max_iters)
+    return results[0]
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +438,9 @@ def best_constant(
 class SweepCurve:
     """Numeric optimal constant across a grid with the analytic lower bounds.
 
-    converged, iterations and start_values hold, per grid value, the solver
-    flag, the total L-BFGS iteration count of best_constant over all its
-    starts, and the quotient value each start reached.
+    converged, iterations, start_values, start_iterations and clipped_starts
+    hold, per grid value, the fields of that name of its best_constant
+    result; workers is the number of processes that ran the descents.
     """
 
     pp: ParameterPoint
@@ -306,6 +451,9 @@ class SweepCurve:
     converged: tuple
     iterations: tuple
     start_values: tuple
+    start_iterations: tuple
+    clipped_starts: tuple
+    workers: int
 
 
 def bound_curve_sweep(
@@ -317,41 +465,33 @@ def bound_curve_sweep(
     max_iters: int = 1500,
     seed: int = 0,
 ) -> SweepCurve:
-    """Sweep best_constant over a grid of lambda with the explicit bounds."""
+    """best_constant over a grid of lambda, grid index k with seed + k,
+    alongside the explicit bounds."""
     if pp.p <= 2.0:
         raise ValidationError("the sweep covers the p > 2 constant mu(lambda)")
     lams = [float(x) for x in lam_grid]
     if not lams or any(not (math.isfinite(x) and x > 0.0) for x in lams):
         raise ValidationError("grid values must be positive and finite")
+    seeds = [seed + k for k in range(len(lams))]
+    results, workers = _solve(pp, lams, seeds, node_count, restarts, max_iters)
     heat_range = 2.0 < pp.p < pp.two_sharp
     fast_range = pp.d >= 3 and 2.0 < pp.p < pp.two_star
-    numeric = []
-    flags = []
-    iterations = []
-    start_values = []
-    thm2 = []
-    prop34 = [] if fast_range else None
-    for k, lam in enumerate(lams):
-        result = best_constant(
-            pp, lam, node_count=node_count, restarts=restarts,
-            max_iters=max_iters, seed=seed + k,
-        )
-        numeric.append(result.value)
-        flags.append(result.converged)
-        iterations.append(result.iterations)
-        start_values.append(result.start_values)
-        thm2.append(mu_lower_thm2(pp, lam) if heat_range and lam >= 1.0 else math.nan)
-        if fast_range:
-            prop34.append(mu_lower_prop34(pp, lam) if lam >= 1.0 else math.nan)
+    thm2 = [mu_lower_thm2(pp, lam) if heat_range and lam >= 1.0 else math.nan for lam in lams]
+    prop34 = None
+    if fast_range:
+        prop34 = tuple(mu_lower_prop34(pp, lam) if lam >= 1.0 else math.nan for lam in lams)
     return SweepCurve(
         pp=pp,
         lams=tuple(lams),
-        numeric=tuple(numeric),
+        numeric=tuple(r.value for r in results),
         thm2=tuple(thm2),
-        prop34=None if prop34 is None else tuple(prop34),
-        converged=tuple(flags),
-        iterations=tuple(iterations),
-        start_values=tuple(start_values),
+        prop34=prop34,
+        converged=tuple(r.converged for r in results),
+        iterations=tuple(r.iterations for r in results),
+        start_values=tuple(r.start_values for r in results),
+        start_iterations=tuple(r.start_iterations for r in results),
+        clipped_starts=tuple(r.clipped_starts for r in results),
+        workers=workers,
     )
 
 

@@ -187,6 +187,18 @@ class TestFigure1:
         assert [len(values) for values in starts] == [5, 5]
         assert [min(values) for values in starts] == numeric
 
+    def test_manifest_lists_solver_counters(self, tmp_path):
+        code = run_cli(
+            "figure1", "--d", "3", "--p", "3", "--lambda-grid", "0.5", "1.5",
+            "--n-nodes", "24", "--restarts", "2", "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        solver = load_json(tmp_path / "figure1_d3_p3_manifest.json")["diagnostics"]
+        assert [len(iters) for iters in solver["start_iterations"]] == [5, 5]
+        assert [sum(iters) for iters in solver["start_iterations"]] == solver["iterations"]
+        assert solver["clipped_starts"] == [0, 0]
+        assert solver["workers"] == len(os.sched_getaffinity(0))
+
     def test_bad_grid_exits_2(self, tmp_path):
         assert run_cli(
             "figure1", "--lambda-grid", "-1.0", "--out-dir", str(tmp_path)
@@ -592,6 +604,17 @@ def test_bench_cli_commands_match_reference(tmp_path):
         assert workloads.data_file_hashes(out_dir) == reference[name]["files"], name
 
 
+# Runs in a fresh interpreter: the multiprocessing modules loaded and the
+# child processes alive once the command has run
+_PROCESS_PROBE = """
+import glob, json, sys
+from sphereineq.cli import main
+code = main(sys.argv[1:]) if sys.argv[1:] else 0
+children = [pid for path in glob.glob("/proc/self/task/*/children") for pid in open(path).read().split()]
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing"), children]))
+"""
+
+
 def run_fresh(*argv: str):
     """(exit code, every scipy module loaded) for `main(argv)` in a new process."""
     return tuple(json.loads(python_fresh(_LAZY_IMPORT_PROBE, *argv)))
@@ -614,6 +637,26 @@ class TestLazyScipyImports:
     ])
     def test_light_commands_load_neither(self, argv, tmp_path):
         assert run_fresh(*argv, "--out-dir", str(tmp_path)) == (0, [])
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["constants", "--d", "3", "--p", "3"],
+        ["figure2"],
+    ])
+    def test_light_commands_start_no_process(self, argv, tmp_path):
+        if argv:
+            argv = [*argv, "--out-dir", str(tmp_path)]
+        assert json.loads(python_fresh(_PROCESS_PROBE, *argv)) == [0, [], []]
+
+    def test_figure1_starts_its_workers(self, tmp_path):
+        # the probe above sees the pool of a command that builds one
+        argv = ["figure1", "--lambda-grid", "1.5", "--n-nodes", "24", "--restarts", "1",
+                "--out-dir", str(tmp_path)]
+        code, modules, children = json.loads(python_fresh(_PROCESS_PROBE, *argv))
+        assert code == 0
+        cpus = len(os.sched_getaffinity(0))
+        assert len(children) == (cpus if cpus > 1 else 0)
+        assert ("multiprocessing" in modules) == (cpus > 1)
 
     def test_verify_ckp_loads_no_optimize(self, tmp_path):
         # building the quadrature rule loads scipy.special, whose roots_jacobi

@@ -1,10 +1,17 @@
 """Tests for quotient minimization and the Schrodinger eigenvalue bounds."""
 
+import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sphereineq import variational
 from sphereineq.bounds import (
     klt_lambda_bar_reverse,
     klt_lambda_bar_schrodinger,
@@ -229,10 +236,122 @@ class TestSweep:
             assert curve.start_values[k] == result.start_values
             assert min(curve.start_values[k]) == curve.numeric[k]
             assert curve.converged[k] == result.converged
+            assert curve.start_iterations[k] == result.start_iterations
+            assert sum(curve.start_iterations[k]) == curve.iterations[k]
+            assert len(curve.start_iterations[k]) == len(curve.start_values[k])
+            assert curve.clipped_starts[k] == result.clipped_starts == 0
+        assert curve.workers == len(os.sched_getaffinity(0))
 
     def test_p_below_two_rejected(self):
         with pytest.raises(ValidationError):
             bound_curve_sweep(D3P15, [1.0])
+
+
+def run_fresh_python(code: str, **env_changes) -> subprocess.CompletedProcess:
+    """`python -c code` with this package on the path, BLAS threads as the
+    caller left them unless env_changes say otherwise (None removes a name)."""
+    src = str(Path(variational.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name, value in env_changes.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
+def solve_value(value: float) -> float:
+    return best_constant(D3P3, value, node_count=24, restarts=1).value
+
+
+def failing_start(task):
+    return 1 / 0
+
+
+# Runs in a fresh interpreter: best_constant on one CPU, hence serially
+_SERIAL_SOLVE = """
+import hashlib, json, os
+from sphereineq.exponents import make_parameter_point
+from sphereineq.variational import best_constant
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+r = best_constant(make_parameter_point(%r, %r), %r, node_count=24, restarts=2)
+print(json.dumps([r.value.hex(), [v.hex() for v in r.start_values], r.iterations,
+                  hashlib.sha256(r.minimizer.values.tobytes()).hexdigest(),
+                  len(__import__("multiprocessing").active_children())]))
+"""
+
+
+class TestWorkerPool:
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs for a pool")
+    @pytest.mark.parametrize("d,p,value", [(3, 3.0, 2.0), (3, 1.5, 2.0)])
+    def test_pool_matches_serial(self, d, p, value):
+        import hashlib
+
+        pooled = best_constant(make_parameter_point(d, p), value, node_count=24, restarts=2)
+        run = run_fresh_python(_SERIAL_SOLVE % (d, p, value))
+        assert run.returncode == 0, run.stderr
+        value_hex, start_values, iterations, minimizer, children = json.loads(run.stdout)
+        assert children == 0
+        assert value_hex == pooled.value.hex()
+        assert start_values == [v.hex() for v in pooled.start_values]
+        assert iterations == pooled.iterations
+        assert minimizer == hashlib.sha256(pooled.minimizer.values.tobytes()).hexdigest()
+
+    def test_workers_pin_blas_and_exit_cleanly(self):
+        # no BLAS thread count in the environment: the pool initializer sets
+        # it; at exit the pool is joined, with nothing written to stderr even
+        # in development mode, which reports a pool left running
+        code = (
+            "import json, multiprocessing, sys\n"
+            f"sys.path.insert(0, {str(Path(variational.__file__).resolve().parents[2] / 'bench')!r})\n"
+            "from worker import blas_threads\n"
+            "from sphereineq import variational\n"
+            "from sphereineq.exponents import make_parameter_point\n"
+            "variational.best_constant(make_parameter_point(3, 3.0), 0.5, node_count=24, restarts=0)\n"
+            "pool, _ = variational._worker_pool()\n"
+            "counts = list(pool.apply(blas_threads).values()) if pool is not None else []\n"
+            "print(json.dumps([counts, [p.pid for p in multiprocessing.active_children()]]))\n"
+        )
+        run = run_fresh_python(code, OPENBLAS_NUM_THREADS=None, OMP_NUM_THREADS=None, PYTHONDEVMODE="1")
+        assert run.returncode == 0
+        assert run.stderr == ""
+        counts, pids = json.loads(run.stdout)
+        cpus = len(os.sched_getaffinity(0))
+        assert len(pids) == (cpus if cpus > 1 else 0)
+        if cpus > 1:
+            assert counts  # numpy's OpenBLAS and scipy's
+        assert all(n == 1 for n in counts)
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_forked_pool_workers_solve_serially(self):
+        # a fork of this process sees its pool under the parent's pid, and a
+        # daemonic pool worker may not start processes: both solve in-process
+        expected = solve_value(2.0)
+        with multiprocessing.get_context("fork").Pool(1) as outer:
+            assert outer.apply_async(solve_value, (2.0,)).get(timeout=120) == expected
+
+    def test_failed_solve_ends_the_pool(self, monkeypatch):
+        # a task that raises in a worker ends the pool with the tasks still
+        # queued; the next solve builds a new one
+        variational._close_pool()
+        monkeypatch.setattr(variational, "_run_start", failing_start)
+        with pytest.raises(ZeroDivisionError):
+            best_constant(D3P3, 2.0, node_count=24, restarts=1)
+        assert variational._POOL is None or variational._POOL[1] is None
+        monkeypatch.undo()
+        assert solve_value(2.0) == best_constant(D3P3, 2.0, node_count=24, restarts=1).value
+
+    def test_clip_is_reported(self):
+        model = _QuotientModel(D3P3, 2.0, 24)
+        c = np.zeros(24)
+        assert not model.touches_clip(c)
+        c[0] = 41.0 / model.basis[0, 0]  # log u = 41 at every node
+        assert model.touches_clip(c)
+        assert model.touches_clip(-c)
 
 
 class TestSchrodinger:
