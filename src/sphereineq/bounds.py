@@ -19,11 +19,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import ValidationError
-from .exponents import ParameterPoint
-from .phi_functions import _is_log_branch, phi_envelope
+from .exponents import ParameterPoint, _is_log_branch
 
 __all__ = [
     "afst_constants",
@@ -116,7 +113,12 @@ def _envelope_grid(
     node_count: int,
     beta_cap: float,
     scan_points: int,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple:
+    """(s, phi_env(s)) as arrays on scan_points values spanning [0, 1/(p-2))."""
+    import numpy as np
+
+    from .phi_functions import phi_envelope
+
     s_sup = 1.0 / (pp.p - 2.0)
     s = np.linspace(0.0, (1.0 - 1.0e-9) * s_sup, scan_points)
     vals = phi_envelope(
@@ -150,10 +152,12 @@ def mu_lower_envelope(
     p = pp.p
     s, phi_vals = _envelope_grid(pp, beta_samples, node_count, beta_cap, scan_points)
     h = (p - 2.0) * phi_vals + lam * (1.0 - (p - 2.0) * s)
-    i = int(np.argmin(h))
+    i = int(h.argmin())
     best = float(h[i])
     if 0 < i < len(s) - 1:
         from scipy.optimize import minimize_scalar
+
+        from .phi_functions import phi_envelope
 
         def objective(sv: float) -> float:
             val = phi_envelope(
@@ -172,7 +176,7 @@ def mu_lower_envelope(
                 method="golden",
                 options={"xtol": 1.0e-11},
             )
-            if np.isfinite(res.fun):
+            if math.isfinite(res.fun):
                 best = min(best, float(res.fun))
         except ValueError:
             pass

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import math
 import os
@@ -32,21 +33,33 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .bounds import afst_constants, antipodal_constant, c_dp
 from .errors import ConvergenceError, InvariantViolation, ValidationError
 from .exponents import beta_roots, m_range, make_flow_setting, make_parameter_point
-from .flows import certify_ode_chain, make_flow_config, run_heat_flow, run_nonlinear_flow, write_trace
 from .ioutils import atomic_write_text, fmt_float
-from .sphere_calculus import AxiFunction, ckp_distance, deficit, make_rule, random_band_limited_exponential
-from .stereographic import euclidean_deficit, push_forward
-from .variational import bound_curve_sweep, klt_validate
 
 OUT_DIR_ENV = "SPHEREINEQ_OUT_DIR"
 
 __all__ = ["main", "build_parser", "OUT_DIR_ENV"]
+
+# Each command imports numpy and the numeric modules it calls inside its own
+# functions, so constants and figure2 run without numpy.  These two names are
+# resolved on first access by the module __getattr__ and read off this module
+# by the commands, so that a test can replace them on it.
+_LAZY_NAMES = {"ckp_distance": ".sphere_calculus", "klt_validate": ".variational"}
+_this = sys.modules[__name__]
+
+# Most points of a figure2 p grid; the default grids have at most 341.
+_MAX_GRID_POINTS = 100_000
+
+
+def __getattr__(name: str):
+    if name not in _LAZY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_LAZY_NAMES[name], __package__), name)
+    globals()[name] = value
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -54,18 +67,22 @@ __all__ = ["main", "build_parser", "OUT_DIR_ENV"]
 
 
 def _jsonable(x):
-    """Recursively convert numpy scalars and non-finite floats for JSON."""
+    """Recursively convert numpy arrays and scalars and non-finite floats for JSON."""
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    if isinstance(x, (int, np.integer)):
+    np = sys.modules.get("numpy")  # no numpy value exists before numpy is loaded
+    if np is not None:
+        if isinstance(x, np.ndarray):
+            return [_jsonable(v) for v in x.tolist()]
+        if isinstance(x, np.generic):
+            x = x.item()
+    if isinstance(x, bool):
+        return x
+    if isinstance(x, int):
         return int(x)
-    if isinstance(x, (float, np.floating)):
+    if isinstance(x, float):
         v = float(x)
         if math.isfinite(v):
             return v
@@ -86,9 +103,33 @@ def _resolve_out_dir(args) -> Path:
     return out
 
 
-def _step_grid(lo: float, hi: float, step: float) -> np.ndarray:
-    """lo, lo + step, ..., hi, rounded to 12 decimals so grid values print short."""
-    return np.round(np.linspace(lo, hi, int(round((hi - lo) / step)) + 1), 12)
+def _step_grid(lo: float, hi: float, step: float) -> list[float]:
+    """lo, lo + step, ..., hi, rounded to 12 decimals so grid values print short.
+
+    The floats of np.round(np.linspace(lo, hi, num), 12), from numpy's
+    operations in numpy's order: with h = (hi - lo)/(num - 1), point i is
+    i * h + lo (or (i/(num - 1)) * (hi - lo) + lo where h is 0), the last
+    point is hi, and every point x becomes rint(x * 1e12) / 1e12.
+    """
+    delta = hi - lo
+    num = int(round(delta / step)) + 1
+    div = num - 1
+    h = delta / div if div > 0 else 0.0
+    if h != 0.0:
+        points = [i * h + lo for i in range(num)]
+    else:
+        points = [i / max(div, 1) * delta + lo for i in range(num)]
+    if num > 1:
+        points[-1] = hi
+    return [_rint(x * 1e12) / 1e12 for x in points]
+
+
+def _rint(x: float) -> float:
+    """x rounded half to even, as np.rint: the sign of zero is kept, and an x
+    that is already integral (|x| >= 2**52), infinite or nan is returned."""
+    if not abs(x) < 2.0**52:
+        return x
+    return math.copysign(round(x), x)
 
 
 def _tag(x: float) -> str:
@@ -187,7 +228,7 @@ def _figure1_grid(args) -> list[float]:
         if args.refine and len(lams) > 1:
             lams = _midpoint_refine(lams)
     else:
-        lams = _step_grid(0.25, 5.0, 0.25 * (0.5 if args.refine else 1.0)).tolist()
+        lams = _step_grid(0.25, 5.0, 0.25 * (0.5 if args.refine else 1.0))
     if not lams:
         raise ValidationError("the lambda grid is empty")
     for lam in lams:
@@ -212,6 +253,8 @@ _FIGURE1_COLUMNS = {
 
 
 def cmd_figure1(args) -> tuple[int, str, dict]:
+    from .variational import bound_curve_sweep
+
     pp = make_parameter_point(args.d, args.p)
     lams = _figure1_grid(args)
 
@@ -267,10 +310,10 @@ def cmd_figure1(args) -> tuple[int, str, dict]:
 # figure2
 
 
-def _figure2_rows(d: int, p_grid: np.ndarray) -> str:
+def _figure2_rows(d: int, p_grid: list[float]) -> str:
     lines = ["p,m_minus,m_plus,note"]
     for p in p_grid:
-        pp = make_parameter_point(d, float(p))
+        pp = make_parameter_point(d, p)
         try:
             m_lo, m_hi = m_range(pp)
             note = beta_roots(pp).kind
@@ -285,18 +328,32 @@ def cmd_figure2(args) -> tuple[int, str, dict]:
     dims = list(dict.fromkeys(args.d))
     if args.p_step <= 0.0 or not math.isfinite(args.p_step):
         raise ValidationError(f"p step must be finite and positive, got {args.p_step}")
-    if args.p_min < 1.0:
-        raise ValidationError(f"p grid must start at 1 or above, got {args.p_min}")
+    if not math.isfinite(args.p_min) or args.p_min < 1.0:
+        raise ValidationError(f"p grid must start at a finite value of 1 or above, got {args.p_min}")
 
-    outputs: list[str] = []
-    grids: dict = {}
+    # every grid is checked before any is built
+    p_maxes = {}
     for d in dims:
         pp_probe = make_parameter_point(d, 2.0)
         p_max = args.p_max
         if p_max is None:
             p_max = pp_probe.two_star if math.isfinite(pp_probe.two_star) else 18.0
+        if not math.isfinite(p_max):
+            raise ValidationError(f"p grid must end at a finite value, got {p_max}")
         if p_max <= args.p_min:
             raise ValidationError(f"empty p grid for d = {d}: [{args.p_min}, {p_max}]")
+        make_parameter_point(d, p_max)  # rejects a p_max above the critical exponent
+        # _step_grid makes round(span) + 1 points
+        if not (p_max - args.p_min) / args.p_step < _MAX_GRID_POINTS - 0.5:
+            raise ValidationError(
+                f"p grid for d = {d} has more than {_MAX_GRID_POINTS} points: "
+                f"[{args.p_min}, {p_max}] in steps of {args.p_step}"
+            )
+        p_maxes[d] = p_max
+
+    outputs: list[str] = []
+    grids: dict = {}
+    for d, p_max in p_maxes.items():
         p_grid = _step_grid(args.p_min, p_max, args.p_step)
         path = args.out_dir / f"figure2_d{d}.csv"
         atomic_write_text(path, _figure2_rows(d, p_grid))
@@ -376,7 +433,11 @@ def _load_flow_spec(path: str) -> dict:
     return spec
 
 
-def _initial_function(spec, rule) -> AxiFunction:
+def _initial_function(spec, rule):
+    import numpy as np
+
+    from .sphere_calculus import AxiFunction
+
     unknown = sorted(set(spec) - _INITIAL_KEYS)
     if unknown:
         raise ValidationError(f"unknown initial-data keys: {', '.join(unknown)}")
@@ -402,6 +463,9 @@ def _initial_function(spec, rule) -> AxiFunction:
 
 
 def cmd_flow(args) -> tuple[int, str, dict]:
+    from .flows import certify_ode_chain, make_flow_config, run_heat_flow, run_nonlinear_flow, write_trace
+    from .sphere_calculus import make_rule
+
     spec = _load_flow_spec(args.config)
     # typed values; what is left after the pops is make_flow_config's keywords
     config = {key: _FLOW_KEYS[key](value) for key, value in spec.items() if key != "initial"}
@@ -475,7 +539,11 @@ def _deficit_battery(name, functions, tol, evaluate) -> dict:
     return _margin_entry(name, margins, worst_deficit)
 
 
-def _random_even_function(rule, rng, degree: int = 4, scale: float = 0.4) -> AxiFunction:
+def _random_even_function(rule, rng, degree: int = 4, scale: float = 0.4):
+    import numpy as np
+
+    from .sphere_calculus import AxiFunction
+
     coeffs = rng.normal(size=degree + 1)
     z2 = rule.nodes * rule.nodes
     g = np.polynomial.polynomial.polyval(z2, coeffs)
@@ -483,6 +551,8 @@ def _random_even_function(rule, rng, degree: int = 4, scale: float = 0.4) -> Axi
 
 
 def _suite_gns(pp, rule, rng, args) -> list[dict]:
+    from .sphere_calculus import deficit, random_band_limited_exponential
+
     n, tol = args.n, args.tol
     functions = [random_band_limited_exponential(rule, rng) for _ in range(n)]
     checks = []
@@ -496,18 +566,23 @@ def _suite_gns(pp, rule, rng, args) -> list[dict]:
 
 
 def _suite_ckp(pp, rule, rng, args) -> list[dict]:
+    from .sphere_calculus import random_band_limited_exponential
+
     n, tol = args.n, args.tol
     margins = []
     worst = math.inf
     for _ in range(n):
         u = random_band_limited_exponential(rule, rng)
-        lower, gap = ckp_distance(u, pp.p)
+        lower, gap = _this.ckp_distance(u, pp.p)
         margins.append(gap - lower + tol * (1.0 + abs(gap)))
         worst = min(worst, gap - lower)
     return [_margin_entry("ckp_gap_dominates_distance", margins, worst)]
 
 
 def _suite_euclidean(pp, rule, rng, args) -> list[dict]:
+    from .sphere_calculus import deficit, random_band_limited_exponential
+    from .stereographic import euclidean_deficit, push_forward
+
     n, tol = args.n, args.tol
     sphere_functions = [random_band_limited_exponential(rule, rng) for _ in range(n)]
     flat_functions = [push_forward(u) for u in sphere_functions]
@@ -546,6 +621,8 @@ def _suite_euclidean(pp, rule, rng, args) -> list[dict]:
 
 
 def _suite_antipodal(pp, rule, rng, args) -> list[dict]:
+    from .sphere_calculus import deficit
+
     n, tol = args.n, args.tol
     functions = [_random_even_function(rule, rng) for _ in range(n)]
     return [
@@ -554,6 +631,9 @@ def _suite_antipodal(pp, rule, rng, args) -> list[dict]:
 
 
 def _suite_flow(pp, rule, rng, args) -> list[dict]:
+    from .flows import certify_ode_chain, make_flow_config, run_heat_flow
+    from .sphere_calculus import AxiFunction, make_rule
+
     cfg = make_flow_config(pp, 1.0, node_count=args.n_nodes)
     rule = make_rule(pp.d, cfg.node_count)
     u0 = AxiFunction(rule, values=1.0 + 0.1 * rule.nodes)
@@ -591,6 +671,10 @@ _SUITES = tuple(name for name, _, _ in _VERIFY_SUITES) + ("all",)
 
 
 def cmd_verify(args) -> tuple[int, str, dict]:
+    import numpy as np
+
+    from .sphere_calculus import make_rule
+
     pp = make_parameter_point(args.d, args.p)
     if args.n < 1:
         raise ValidationError(f"sample count must be at least 1, got {args.n}")
@@ -656,7 +740,7 @@ def cmd_klt(args) -> tuple[int, str, dict]:
     mode_reports = []
     passed = True
     for mode in modes:
-        rep = klt_validate(
+        rep = _this.klt_validate(
             args.d,
             args.q,
             n_samples=args.samples,

@@ -62,6 +62,10 @@ __all__ = [
 # d=4: p = 3) land exactly on a vanishing leading coefficient.
 _DEGENERATE_TOL = 1e-9
 
+# |gamma - (2 - p)| below this routes the improvement function onto its
+# logarithmic branch, where the closed form is 0/0.
+_LOG_BRANCH_TOL = 1e-9
+
 
 def validate_dimension(d) -> int:
     """Return the sphere dimension d as a plain int.
@@ -177,6 +181,10 @@ def _p_star(d: int) -> float:
     return (3.0 + d + 2.0 * d * d - 2.0 * math.sqrt(4.0 * d + 4.0 * d * d + d**3)) / (d - 1.0) ** 2
 
 
+def _is_log_branch(pp: ParameterPoint) -> bool:
+    return abs(pp.gamma - (2.0 - pp.p)) < _LOG_BRANCH_TOL
+
+
 def make_parameter_point(d: int, p: float) -> ParameterPoint:
     """Validate (d, p) and compute the derived exponents.
 
@@ -270,6 +278,8 @@ def make_flow_setting(pp: ParameterPoint, beta: float) -> FlowSetting:
     """
     d, p = pp.d, pp.p
     beta = float(beta)
+    if not math.isfinite(beta):
+        raise ValidationError(f"flow exponent beta must be finite, got {beta}")
     if beta == 0.0:
         raise ValidationError("beta = 0 is not a valid flow exponent")
     if p == 2.0:

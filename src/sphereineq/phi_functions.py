@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvariantViolation, ValidationError
-from .exponents import FlowSetting, ParameterPoint, beta_roots, make_flow_setting
+from .exponents import FlowSetting, ParameterPoint, _is_log_branch, beta_roots, make_flow_setting
 
 __all__ = [
     "PhiSpec",
@@ -49,10 +49,6 @@ __all__ = [
     "phi_inverse",
     "psi_tilde",
 ]
-
-# |gamma - (2 - p)| below this routes to the logarithmic branch, where the
-# closed form is 0/0.
-_LOG_BRANCH_TOL = 1e-9
 
 _DEFAULT_NODES = 64
 _DEFAULT_BETA_SAMPLES = 64
@@ -80,10 +76,6 @@ def _check_s(p: float, s: float) -> float:
             f"entropy argument {s} is outside [0, 1/(p-2)) = [0, {_s_sup(p)}) for p = {p}"
         )
     return s
-
-
-def _is_log_branch(pp: ParameterPoint) -> bool:
-    return abs(pp.gamma - (2.0 - pp.p)) < _LOG_BRANCH_TOL
 
 
 def _phi_closed(gamma: float, p: float, s: float) -> float:

@@ -21,8 +21,7 @@ import numpy as np
 
 from .bounds import _default_lambda_star, afst_constants, axis_moment_log_constant, c_dp
 from .errors import ValidationError
-from .exponents import ParameterPoint, sphere_surface
-from .phi_functions import _is_log_branch
+from .exponents import ParameterPoint, _is_log_branch, sphere_surface
 from .sphere_calculus import (
     AxiFunction,
     Deficit,

@@ -13,9 +13,13 @@ interpolation family against sampled potentials.
 from __future__ import annotations
 
 import atexit
+import importlib.machinery
+import importlib.util
 import math
 import os
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -151,6 +155,29 @@ _LBFGS_MAXFUN = 15000
 _LBFGS_MAXLS = 20
 
 
+def _setulb():
+    """scipy's compiled L-BFGS-B routine, setulb of scipy.optimize._lbfgsb.
+
+    The extension module is loaded from its file in scipy/optimize, which
+    takes milliseconds where importing the scipy.optimize package takes
+    hundreds, and is registered under its own name, so that a later
+    `import scipy.optimize` reuses it.  A module already loaded is reused.
+    """
+    name = "scipy.optimize._lbfgsb"
+    module = sys.modules.get(name)
+    if module is None:
+        package = Path(importlib.util.find_spec("scipy").submodule_search_locations[0]) / "optimize"
+        paths = [package / f"_lbfgsb{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next((path for path in paths if path.is_file()), None)
+        if path is None:
+            raise ImportError(f"no {name} extension module in {package}")
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module.setulb
+
+
 def _lbfgsb(fun_and_grad, x0: np.ndarray, max_iters: int):
     """Unbounded L-BFGS-B through the reverse-communication routine setulb.
 
@@ -161,8 +188,7 @@ def _lbfgsb(fun_and_grad, x0: np.ndarray, max_iters: int):
     and the same iteration count, so every iterate is bit-identical.
     Returns (x, f, nit, success).
     """
-    from scipy.optimize import _lbfgsb
-
+    setulb = _setulb()
     m = _LBFGS_MEMORY
     n = x0.size
     x = np.array(x0, dtype=np.float64)
@@ -181,7 +207,7 @@ def _lbfgsb(fun_and_grad, x0: np.ndarray, max_iters: int):
     dsave = np.zeros(29)
     nit = 0
     while True:
-        _lbfgsb.setulb(
+        setulb(
             m, x, lower, upper, nbd, f, g, _LBFGS_FACTR, _LBFGS_PGTOL, wa, iwa,
             task, lsave, isave, dsave, _LBFGS_MAXLS, ln_task,
         )
@@ -298,9 +324,7 @@ def _worker_pool():
             and "fork" in multiprocessing.get_all_start_methods()
             and not multiprocessing.current_process().daemon
         ):
-            # loaded here once, not again in every worker
-            import scipy.optimize._lbfgsb  # noqa: F401
-
+            _setulb()  # loaded here once, not again in every worker
             pool = multiprocessing.get_context("fork").Pool(cpus, initializer=_start_worker)
             atexit.register(_close_pool)
         _POOL = (pid, pool, cpus if pool is not None else 1)
@@ -562,6 +586,10 @@ def klt_validate(
     lam1 >= bound(1/|1/V|_q).  Violations beyond the tolerance are counted,
     not raised: they indicate implementation bugs.
     """
+    if n_samples < 1:
+        raise ValidationError(f"sample count must be at least 1, got {n_samples}")
+    if not math.isfinite(scale) or scale < 0.0:
+        raise ValidationError(f"potential scale must be finite and nonnegative, got {scale}")
     if sign_mode == "minus_V":
         if q <= max(1.0, d / 2.0):
             raise ValidationError(

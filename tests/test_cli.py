@@ -15,7 +15,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import sphereineq.cli as cli
 from sphereineq import __version__
@@ -82,6 +85,13 @@ class TestConstants:
     def test_invalid_parameters_exit_2(self, tmp_path):
         assert run_cli("constants", "--d", "0", "--p", "3", "--out-dir", str(tmp_path)) == 2
         assert run_cli("constants", "--d", "3", "--p", "99", "--out-dir", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    def test_non_finite_beta_exits_2(self, beta, tmp_path):
+        assert run_cli(
+            "constants", "--d", "3", "--p", "3", "--beta", beta, "--out-dir", str(tmp_path)
+        ) == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFigure1:
@@ -250,6 +260,50 @@ class TestFigure2:
         assert run_cli(
             "figure2", "--d", "3", "--p-step", "0", "--out-dir", str(tmp_path)
         ) == 2
+
+    @pytest.mark.parametrize("grid", [
+        ["--p-min", "nan"],
+        ["--p-max", "nan"],
+        ["--p-max", "inf"],
+        ["--p-step", "1e-12"],  # 17e12 points for d = 1
+        ["--d", "1", "--p-max", "100001", "--p-step", "1"],  # 100,001 points
+        ["--d", "1", "4", "--p-max", "7"],  # above the critical exponent 4 of d = 4
+    ])
+    def test_bad_grid_exits_2_before_any_grid_is_built(self, grid, tmp_path, monkeypatch):
+        def build(*args):
+            raise AssertionError(f"a grid was built from {args}")
+
+        monkeypatch.setattr(cli, "_step_grid", build)
+        assert run_cli("figure2", *grid, "--out-dir", str(tmp_path)) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_grid_is_accepted(self, tmp_path, monkeypatch):
+        # 99,999 steps make 100,000 points, the most a grid may have
+        monkeypatch.setattr(cli, "_figure2_rows", lambda d, p_grid: "")
+        assert run_cli(
+            "figure2", "--d", "1", "--p-max", "100000", "--p-step", "1", "--out-dir", str(tmp_path)
+        ) == 0
+        manifest = load_json(tmp_path / "figure2_manifest.json")
+        assert manifest["parameters"]["grids"]["1"]["count"] == 100_000
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lo=st.floats(1.0, 1e9),
+    width=st.floats(1e-9, 1e9),
+    steps=st.integers(1, 5000),
+    jitter=st.floats(0.5, 1.5),
+)
+@example(lo=1.0, width=17.0, steps=340, jitter=1.0)  # figure2's default grid at d = 1, 2
+@example(lo=0.25, width=4.75, steps=19, jitter=1.0)  # figure1's default grid
+@example(lo=0.25, width=4.75, steps=38, jitter=1.0)  # and with --refine
+@example(lo=1.0, width=0.01, steps=1, jitter=5.0)  # a single point
+def test_step_grid_is_numpy_rounded_linspace_bit_for_bit(lo, width, steps, jitter):
+    hi, step = lo + width, width / steps * jitter
+    # within the point limit of figure2's validation
+    assume(hi > lo and step > 0.0 and (hi - lo) / step < cli._MAX_GRID_POINTS - 0.5)
+    expected = np.round(np.linspace(lo, hi, int(round((hi - lo) / step)) + 1), 12)
+    assert np.array(cli._step_grid(lo, hi, step)).tobytes() == expected.tobytes()
 
 
 def write_config(path, **overrides):
@@ -448,6 +502,13 @@ class TestKLT:
         report = load_json(tmp_path / "klt_d3_q3_minus_V.json")
         assert len(report["modes"]) == 1
 
+    @pytest.mark.parametrize("bad", [
+        ["--samples", "0"], ["--samples", "-1"], ["--scale", "-1"], ["--scale", "nan"], ["--scale", "inf"],
+    ])
+    def test_bad_samples_or_scale_exits_2(self, bad, tmp_path):
+        assert run_cli("klt", "--n-nodes", "24", *bad, "--out-dir", str(tmp_path)) == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_violation_exits_3(self, tmp_path, monkeypatch):
         fake = KLTReport(
             d=3, q=3.0, p=3.0, sign_mode="minus_V", n_samples=1,
@@ -550,12 +611,17 @@ class TestMainContract:
         assert __version__ in result.stdout
 
 
-# Runs in a fresh interpreter: other tests load scipy.optimize into this one.
+# Runs in a fresh interpreter: other tests load numpy and scipy.optimize into
+# this one.  argv is a command line, or "--import" and a module name.
 _LAZY_IMPORT_PROBE = """
-import json, sys
-from sphereineq.cli import main
-code = main(sys.argv[1:]) if sys.argv[1:] else 0
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+import importlib, json, sys
+if sys.argv[1:2] == ["--import"]:
+    importlib.import_module(sys.argv[2])
+    code = 0
+else:
+    from sphereineq.cli import main
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))]))
 """
 
 
@@ -616,27 +682,40 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "mul
 
 
 def run_fresh(*argv: str):
-    """(exit code, every scipy module loaded) for `main(argv)` in a new process."""
+    """(exit code, every numpy and scipy module loaded) for `main(argv)`, or
+    for `import module` with argv = ("--import", module), in a new process."""
     return tuple(json.loads(python_fresh(_LAZY_IMPORT_PROBE, *argv)))
 
 
+# what each case loads: (numpy, scipy.special, the scipy.optimize modules).
+# scipy's packages import numpy, so a run without numpy has run no scipy.
+_LIGHT = (False, False, [])
+_NUMERIC = (True, True, [])
+_IMPORT_GUARD_CASES = {
+    "constants": (["constants", "--d", "3", "--p", "3"], _LIGHT),
+    "constants_beta": (["constants", "--d", "3", "--p", "5", "--beta", "1.2"], _LIGHT),
+    "figure2": (["figure2"], _LIGHT),
+    "flow": (["flow", str(ROOT / "configs" / "heat_d3_p3.json")], _NUMERIC),
+    "verify_gns": (["verify", "gns", "--n", "4", "--n-nodes", "24"], _NUMERIC),
+    "klt": (["klt", "--samples", "3", "--n-nodes", "24"], _NUMERIC),
+    "figure1": (
+        ["figure1", "--lambda-grid", "1.5", "--n-nodes", "24", "--restarts", "1"],
+        (True, True, ["scipy.optimize._lbfgsb"]),
+    ),
+    "import_bounds": (["--import", "sphereineq.bounds"], _LIGHT),
+}
+
+
 class TestLazyScipyImports:
-    # "neither" once meant neither scipy.optimize nor scipy.linalg; these
-    # commands now load no scipy module at all
-    def test_package_import_loads_no_scipy(self):
-        probe = "import sys, sphereineq; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-        assert python_fresh(probe) == "[]"
-
-    def test_import_loads_neither_optimize_nor_linalg(self):
-        assert run_fresh() == (0, [])
-
-    @pytest.mark.parametrize("argv", [
-        ["constants", "--d", "3", "--p", "3"],
-        ["figure2"],
-        ["constants", "--d", "3", "--p", "5", "--beta", "1.2"],
-    ])
-    def test_light_commands_load_neither(self, argv, tmp_path):
-        assert run_fresh(*argv, "--out-dir", str(tmp_path)) == (0, [])
+    @pytest.mark.parametrize("case", list(_IMPORT_GUARD_CASES))
+    def test_command_loads_only_what_it_runs(self, case, tmp_path):
+        argv, expected = _IMPORT_GUARD_CASES[case]
+        if argv[0] != "--import":
+            argv = [*argv, "--out-dir", str(tmp_path)]
+        code, modules = run_fresh(*argv)
+        assert code == 0
+        optimize = [m for m in modules if m.split(".")[:2] == ["scipy", "optimize"]]
+        assert ("numpy" in modules, "scipy.special" in modules, optimize) == expected
 
     @pytest.mark.parametrize("argv", [
         [],

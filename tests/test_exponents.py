@@ -186,6 +186,11 @@ class TestFlowSetting:
         with pytest.raises(ValidationError):
             make_flow_setting(make_parameter_point(3, 2.0), 1.0)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_beta(self, beta):
+        with pytest.raises(ValidationError, match="finite"):
+            make_flow_setting(make_parameter_point(3, 3.0), beta)
+
 
 class TestBetaRoots:
     def test_union_case_endpoints(self):

@@ -162,6 +162,42 @@ class TestLBFGSLoop:
         assert success == ref.success
 
 
+# Runs in a fresh interpreter, where neither load has happened yet: setulb
+# loaded from its file before or after `import scipy.optimize`, then one
+# L-BFGS-B solve through minimize.
+_SETULB_PROBE = """
+import json, sys
+import numpy as np
+from sphereineq.variational import _setulb
+if sys.argv[1] == "direct_first":
+    setulb = _setulb()
+    before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    import scipy.optimize
+else:
+    import scipy.optimize
+    before = None
+    setulb = _setulb()
+from scipy.optimize import _lbfgsb, minimize
+res = minimize(lambda x: (((x - 1.0) ** 2).sum(), 2.0 * (x - 1.0)), np.zeros(3), jac=True, method="L-BFGS-B")
+print(json.dumps([before, setulb is _lbfgsb.setulb, setulb is scipy.optimize._lbfgsb_py._lbfgsb.setulb,
+                  bool(res.success), res.x.tolist()]))
+"""
+
+
+class TestSetulb:
+    @pytest.mark.parametrize("order", ["direct_first", "package_first"])
+    def test_coexists_with_scipy_optimize(self, order):
+        env = dict(os.environ, PYTHONPATH=str(Path(variational.__file__).resolve().parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", _SETULB_PROBE, order], capture_output=True, text=True, env=env, check=True,
+        ).stdout.splitlines()[-1]
+        before, same_module, same_as_minimize, success, x = json.loads(out)
+        if order == "direct_first":
+            assert before == ["scipy.optimize._lbfgsb"]  # the file alone, no package
+        assert same_module and same_as_minimize
+        assert success and x == pytest.approx([1.0, 1.0, 1.0])
+
+
 class TestBestConstant:
     @pytest.mark.parametrize("lam", [0.25, 0.5, 1.0])
     def test_identity_regime(self, lam):
@@ -444,3 +480,10 @@ class TestKLT:
             klt_validate(3, 3.0, sign_mode="sideways")
         with pytest.raises(ValidationError):
             klt_validate(3, 3.0, potential_family="mystery")
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n_samples": 0}, {"n_samples": -1}, {"scale": -1.0}, {"scale": math.nan}, {"scale": math.inf},
+    ])
+    def test_rejects_empty_battery_and_bad_scale(self, kwargs):
+        with pytest.raises(ValidationError):
+            klt_validate(3, 3.0, **kwargs)
