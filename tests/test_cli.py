@@ -612,7 +612,8 @@ class TestMainContract:
 
 
 # Runs in a fresh interpreter: other tests load numpy and scipy.optimize into
-# this one.  argv is a command line, or "--import" and a module name.
+# this one.  argv is a command line, "--import" and a module name, or
+# nothing, which imports the cli alone.
 _LAZY_IMPORT_PROBE = """
 import importlib, json, sys
 if sys.argv[1:2] == ["--import"]:
@@ -620,7 +621,7 @@ if sys.argv[1:2] == ["--import"]:
     code = 0
 else:
     from sphereineq.cli import main
-    code = main(sys.argv[1:])
+    code = main(sys.argv[1:]) if sys.argv[1:] else 0
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))]))
 """
 
@@ -682,8 +683,9 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "mul
 
 
 def run_fresh(*argv: str):
-    """(exit code, every numpy and scipy module loaded) for `main(argv)`, or
-    for `import module` with argv = ("--import", module), in a new process."""
+    """(exit code, every numpy and scipy module loaded) for `main(argv)`, for
+    `import module` with argv = ("--import", module), or for importing the
+    cli alone with no argv, in a new process."""
     return tuple(json.loads(python_fresh(_LAZY_IMPORT_PROBE, *argv)))
 
 
@@ -692,9 +694,6 @@ def run_fresh(*argv: str):
 _LIGHT = (False, False, [])
 _NUMERIC = (True, True, [])
 _IMPORT_GUARD_CASES = {
-    "constants": (["constants", "--d", "3", "--p", "3"], _LIGHT),
-    "constants_beta": (["constants", "--d", "3", "--p", "5", "--beta", "1.2"], _LIGHT),
-    "figure2": (["figure2"], _LIGHT),
     "flow": (["flow", str(ROOT / "configs" / "heat_d3_p3.json")], _NUMERIC),
     "verify_gns": (["verify", "gns", "--n", "4", "--n-nodes", "24"], _NUMERIC),
     "klt": (["klt", "--samples", "3", "--n-nodes", "24"], _NUMERIC),
@@ -707,6 +706,22 @@ _IMPORT_GUARD_CASES = {
 
 
 class TestLazyScipyImports:
+    # "neither" once meant neither scipy.optimize nor scipy.linalg; these
+    # imports and commands now load no numpy and no scipy module at all
+    def test_package_import_loads_no_scipy(self):
+        assert run_fresh("--import", "sphereineq") == (0, [])
+
+    def test_import_loads_neither_optimize_nor_linalg(self):
+        assert run_fresh() == (0, [])
+
+    @pytest.mark.parametrize("argv", [
+        ["constants", "--d", "3", "--p", "3"],
+        ["figure2"],
+        ["constants", "--d", "3", "--p", "5", "--beta", "1.2"],
+    ])
+    def test_light_commands_load_neither(self, argv, tmp_path):
+        assert run_fresh(*argv, "--out-dir", str(tmp_path)) == (0, [])
+
     @pytest.mark.parametrize("case", list(_IMPORT_GUARD_CASES))
     def test_command_loads_only_what_it_runs(self, case, tmp_path):
         argv, expected = _IMPORT_GUARD_CASES[case]
