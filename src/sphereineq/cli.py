@@ -355,6 +355,9 @@ def cmd_figure2(args) -> tuple[int, str, dict]:
     grids: dict = {}
     for d, p_max in p_maxes.items():
         p_grid = _step_grid(args.p_min, p_max, args.p_step)
+        # rounding to 12 decimals can lift the last point above a p_max at the
+        # critical exponent (d = 8: 2.666666666667), which p may not exceed
+        p_grid[-1] = min(p_grid[-1], p_max)
         path = args.out_dir / f"figure2_d{d}.csv"
         atomic_write_text(path, _figure2_rows(d, p_grid))
         outputs.append(str(path))

@@ -17,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _scipy_kernels
 from .bounds import _default_lambda_star, afst_constants, antipodal_constant
 from .errors import ValidationError
 from .exponents import ParameterPoint, _lgamma, validate_dimension
@@ -62,15 +63,13 @@ class UltrasphericalRule:
     __slots__ = ("d", "n", "nodes", "weights", "exactness_degree", "_basis", "_eigenvalues")
 
     def __init__(self, d: int, n: int):
-        from scipy.special import roots_jacobi
-
         d = validate_dimension(d)
         if not isinstance(n, (int, np.integer)) or n < 2:
             raise ValidationError(f"node count n too small: need n >= 2, got {n!r}")
         self.d = d
         self.n = int(n)
         a = 0.5 * d - 1.0
-        nodes, raw_weights = roots_jacobi(n, a, a)
+        nodes, raw_weights = _scipy_kernels.roots_jacobi(n, a, a)
         weights = raw_weights * _inverse_mass(d)
         nodes.setflags(write=False)
         weights.setflags(write=False)
@@ -81,8 +80,7 @@ class UltrasphericalRule:
         self._eigenvalues = None
 
     def _build_basis(self) -> None:
-        from scipy.special import eval_jacobi
-
+        eval_jacobi = _scipy_kernels.ufuncs().eval_jacobi
         a = 0.5 * self.d - 1.0
         n = self.n
         P = np.empty((n, n))

@@ -19,6 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _scipy_kernels
 from .bounds import _default_lambda_star, afst_constants, axis_moment_log_constant, c_dp
 from .errors import ValidationError
 from .exponents import ParameterPoint, _is_log_branch, sphere_surface
@@ -164,11 +165,10 @@ def _second_moment_rule(d: int, n: int):
     # Quadrature for the extra weight (1 + z)/(1 - z): Gauss-Jacobi nodes for
     # (1-z)^(d/2-2) (1+z)^(d/2), plus the orthonormal sphere basis evaluated
     # there so that grid functions transfer exactly (u^2 has degree 2n - 2).
-    from scipy.special import eval_jacobi, roots_jacobi
-
+    eval_jacobi = _scipy_kernels.ufuncs().eval_jacobi
     rule = make_rule(d, n)
     a = 0.5 * d - 1.0
-    z_hat, w_hat = roots_jacobi(n, a - 1.0, a + 1.0)
+    z_hat, w_hat = _scipy_kernels.roots_jacobi(n, a - 1.0, a + 1.0)
     raw_nodes = np.empty((n, n))
     raw_hat = np.empty((n, n))
     for k in range(n):
@@ -202,10 +202,8 @@ def equality_profile_second_moment(d: int) -> float:
         raise ValidationError(
             f"the equality-profile moment is finite only for d >= 3, got d = {d}"
         )
-    from scipy.special import betaln
-
     return float(
-        0.5 * sphere_surface(d - 1) * math.exp(betaln(0.5 * d + 1.0, 0.5 * d - 1.0))
+        0.5 * sphere_surface(d - 1) * math.exp(_scipy_kernels.ufuncs().betaln(0.5 * d + 1.0, 0.5 * d - 1.0))
     )
 
 

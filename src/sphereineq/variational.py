@@ -13,16 +13,13 @@ interpolation family against sampled potentials.
 from __future__ import annotations
 
 import atexit
-import importlib.machinery
-import importlib.util
 import math
 import os
-import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import _scipy_kernels
 from .bounds import (
     klt_lambda_bar_reverse,
     klt_lambda_bar_schrodinger,
@@ -155,29 +152,6 @@ _LBFGS_MAXFUN = 15000
 _LBFGS_MAXLS = 20
 
 
-def _setulb():
-    """scipy's compiled L-BFGS-B routine, setulb of scipy.optimize._lbfgsb.
-
-    The extension module is loaded from its file in scipy/optimize, which
-    takes milliseconds where importing the scipy.optimize package takes
-    hundreds, and is registered under its own name, so that a later
-    `import scipy.optimize` reuses it.  A module already loaded is reused.
-    """
-    name = "scipy.optimize._lbfgsb"
-    module = sys.modules.get(name)
-    if module is None:
-        package = Path(importlib.util.find_spec("scipy").submodule_search_locations[0]) / "optimize"
-        paths = [package / f"_lbfgsb{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-        path = next((path for path in paths if path.is_file()), None)
-        if path is None:
-            raise ImportError(f"no {name} extension module in {package}")
-        spec = importlib.util.spec_from_file_location(name, path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        sys.modules[name] = module
-    return module.setulb
-
-
 def _lbfgsb(fun_and_grad, x0: np.ndarray, max_iters: int):
     """Unbounded L-BFGS-B through the reverse-communication routine setulb.
 
@@ -188,7 +162,7 @@ def _lbfgsb(fun_and_grad, x0: np.ndarray, max_iters: int):
     and the same iteration count, so every iterate is bit-identical.
     Returns (x, f, nit, success).
     """
-    setulb = _setulb()
+    setulb = _scipy_kernels.setulb()
     m = _LBFGS_MEMORY
     n = x0.size
     x = np.array(x0, dtype=np.float64)
@@ -324,7 +298,7 @@ def _worker_pool():
             and "fork" in multiprocessing.get_all_start_methods()
             and not multiprocessing.current_process().daemon
         ):
-            _setulb()  # loaded here once, not again in every worker
+            _scipy_kernels.setulb()  # loaded here once, not again in every worker
             pool = multiprocessing.get_context("fork").Pool(cpus, initializer=_start_worker)
             atexit.register(_close_pool)
         _POOL = (pid, pool, cpus if pool is not None else 1)
@@ -542,13 +516,11 @@ def principal_eigenvalue(potential: AxiFunction, sign_mode: str) -> float:
             raise ValidationError("attractive mode expects a nonnegative potential")
     elif not np.all(vals > 0.0):
         raise ValidationError("repulsive mode expects a strictly positive potential")
-    from scipy.linalg import eigh
-
     rule = potential.rule
     gram = rule.basis.T @ ((rule.weights * vals)[:, None] * rule.basis)
     sign = -1.0 if sign_mode == "minus_V" else 1.0
     matrix = np.diag(rule.eigenvalues) + sign * gram
-    return float(eigh(matrix, eigvals_only=True, subset_by_index=(0, 0))[0])
+    return _scipy_kernels.lowest_eigenvalue(matrix)
 
 
 @dataclass(frozen=True)

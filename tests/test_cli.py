@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import sphereineq.cli as cli
 from sphereineq import __version__
+from sphereineq.ioutils import fmt_float
 from sphereineq.variational import KLTReport
 
 ROOT = Path(cli.__file__).resolve().parents[2]
@@ -255,6 +256,18 @@ class TestFigure2:
             str(tmp_path / "figure2_d3.csv"),
         ]
         assert manifest["parameters"]["grids"]["2"]["count"] == 7
+
+    # the default grid ends at the critical exponent 2d/(d - 2); at these d
+    # its 12-decimal rounding lands above it, at d = 5 below it
+    @pytest.mark.parametrize("d, last", [
+        (5, "3.333333333333"), (8, None), (9, None), (17, None), (26, None),
+    ])
+    def test_default_grid_ends_at_most_at_the_critical_exponent(self, d, last, tmp_path):
+        assert run_cli("figure2", "--d", str(d), "--out-dir", str(tmp_path)) == 0
+        _, rows = read_csv_rows(tmp_path / f"figure2_d{d}.csv")
+        critical = 2.0 * d / (d - 2.0)
+        assert all(float(r[0]) <= critical for r in rows)
+        assert rows[-1][0] == (last or fmt_float(critical))
 
     def test_bad_step_exits_2(self, tmp_path):
         assert run_cli(
@@ -622,7 +635,12 @@ if sys.argv[1:2] == ["--import"]:
 else:
     from sphereineq.cli import main
     code = main(sys.argv[1:]) if sys.argv[1:] else 0
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))]))
+kernels = sys.modules.get("sphereineq._scipy_kernels")
+print(json.dumps([
+    code,
+    sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")),
+    sorted(kernels._MODULES) if kernels else [],
+]))
 """
 
 
@@ -683,36 +701,55 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "mul
 
 
 def run_fresh(*argv: str):
-    """(exit code, every numpy and scipy module loaded) for `main(argv)`, for
-    `import module` with argv = ("--import", module), or for importing the
-    cli alone with no argv, in a new process."""
+    """(exit code, every numpy and scipy module in sys.modules, the scipy
+    extension modules that sphereineq._scipy_kernels loaded from their files)
+    for `main(argv)`, for `import module` with argv = ("--import", module),
+    or for importing the cli alone with no argv, in a new process."""
     return tuple(json.loads(python_fresh(_LAZY_IMPORT_PROBE, *argv)))
 
 
-# what each case loads: (numpy, scipy.special, the scipy.optimize modules).
-# scipy's packages import numpy, so a run without numpy has run no scipy.
-_LIGHT = (False, False, [])
-_NUMERIC = (True, True, [])
+# No numeric command imports a scipy package: importing scipy.special,
+# scipy.linalg or scipy.optimize runs scipy's array-API layer, which loads
+# numpy.f2py among others.  _ufuncs loads its sibling extensions, which stay.
+_NEVER_LOADED = {"scipy.special", "scipy.linalg", "scipy.optimize", "scipy._lib._array_api", "numpy.f2py"}
+_UFUNCS_SIBLINGS = [
+    "scipy.special._ellip_harm_2", "scipy.special._gufuncs", "scipy.special._special_ufuncs",
+    "scipy.special._ufuncs_cxx",
+]
+# what each case loads from its file, sorted: a rule needs the ufuncs and LAPACK,
+# figure1 also L-BFGS-B; a case that loads none loads no numpy and no scipy
+_RULES = ["linalg._flapack", "special._ufuncs"]
 _IMPORT_GUARD_CASES = {
-    "flow": (["flow", str(ROOT / "configs" / "heat_d3_p3.json")], _NUMERIC),
-    "verify_gns": (["verify", "gns", "--n", "4", "--n-nodes", "24"], _NUMERIC),
-    "klt": (["klt", "--samples", "3", "--n-nodes", "24"], _NUMERIC),
+    "flow": (["flow", str(ROOT / "configs" / "heat_d3_p3.json")], _RULES),
+    "verify_gns": (["verify", "gns", "--n", "4", "--n-nodes", "24"], _RULES),
+    "klt": (["klt", "--samples", "3", "--n-nodes", "24"], _RULES),
     "figure1": (
         ["figure1", "--lambda-grid", "1.5", "--n-nodes", "24", "--restarts", "1"],
-        (True, True, ["scipy.optimize._lbfgsb"]),
+        ["linalg._flapack", "optimize._lbfgsb", "special._ufuncs"],
     ),
-    "import_bounds": (["--import", "sphereineq.bounds"], _LIGHT),
+    "import_bounds": (["--import", "sphereineq.bounds"], []),
 }
+
+
+def assert_loads_only(modules, extensions, expected):
+    assert extensions == expected
+    if not expected:
+        assert modules == []
+        return
+    assert "numpy" in modules
+    assert not _NEVER_LOADED & set(modules)
+    in_packages = [m for m in modules if m.startswith(("scipy.special.", "scipy.linalg.", "scipy.optimize."))]
+    assert in_packages == _UFUNCS_SIBLINGS
 
 
 class TestLazyScipyImports:
     # "neither" once meant neither scipy.optimize nor scipy.linalg; these
     # imports and commands now load no numpy and no scipy module at all
     def test_package_import_loads_no_scipy(self):
-        assert run_fresh("--import", "sphereineq") == (0, [])
+        assert run_fresh("--import", "sphereineq") == (0, [], [])
 
     def test_import_loads_neither_optimize_nor_linalg(self):
-        assert run_fresh() == (0, [])
+        assert run_fresh() == (0, [], [])
 
     @pytest.mark.parametrize("argv", [
         ["constants", "--d", "3", "--p", "3"],
@@ -720,17 +757,16 @@ class TestLazyScipyImports:
         ["constants", "--d", "3", "--p", "5", "--beta", "1.2"],
     ])
     def test_light_commands_load_neither(self, argv, tmp_path):
-        assert run_fresh(*argv, "--out-dir", str(tmp_path)) == (0, [])
+        assert run_fresh(*argv, "--out-dir", str(tmp_path)) == (0, [], [])
 
     @pytest.mark.parametrize("case", list(_IMPORT_GUARD_CASES))
     def test_command_loads_only_what_it_runs(self, case, tmp_path):
         argv, expected = _IMPORT_GUARD_CASES[case]
         if argv[0] != "--import":
             argv = [*argv, "--out-dir", str(tmp_path)]
-        code, modules = run_fresh(*argv)
+        code, modules, extensions = run_fresh(*argv)
         assert code == 0
-        optimize = [m for m in modules if m.split(".")[:2] == ["scipy", "optimize"]]
-        assert ("numpy" in modules, "scipy.special" in modules, optimize) == expected
+        assert_loads_only(modules, extensions, expected)
 
     @pytest.mark.parametrize("argv", [
         [],
@@ -753,13 +789,12 @@ class TestLazyScipyImports:
         assert ("multiprocessing" in modules) == (cpus > 1)
 
     def test_verify_ckp_loads_no_optimize(self, tmp_path):
-        # building the quadrature rule loads scipy.special, whose roots_jacobi
-        # brings in scipy.linalg; nothing on this path loads scipy.optimize
+        # the quadrature rule loads the ufuncs and LAPACK from their files;
+        # nothing on this path loads a scipy package, scipy.optimize included
         argv = ["verify", "ckp", "--d", "3", "--p", "3", "--n", "5", "--out-dir", str(tmp_path)]
-        code, modules = run_fresh(*argv)
+        code, modules, extensions = run_fresh(*argv)
         assert code == 0
-        assert {"scipy.special", "scipy.linalg"} <= set(modules)
-        assert "scipy.optimize" not in modules
+        assert_loads_only(modules, extensions, _RULES)
 
     def test_battery_cycle_skips_optimize(self, tmp_path):
         # one cycle of the benchmark's battery workload, whose envelope and

@@ -168,19 +168,52 @@ class TestLBFGSLoop:
 _SETULB_PROBE = """
 import json, sys
 import numpy as np
-from sphereineq.variational import _setulb
+from sphereineq._scipy_kernels import setulb as load_setulb
 if sys.argv[1] == "direct_first":
-    setulb = _setulb()
+    setulb = load_setulb()
     before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
     import scipy.optimize
 else:
     import scipy.optimize
     before = None
-    setulb = _setulb()
+    setulb = load_setulb()
 from scipy.optimize import _lbfgsb, minimize
 res = minimize(lambda x: (((x - 1.0) ** 2).sum(), 2.0 * (x - 1.0)), np.zeros(3), jac=True, method="L-BFGS-B")
 print(json.dumps([before, setulb is _lbfgsb.setulb, setulb is scipy.optimize._lbfgsb_py._lbfgsb.setulb,
                   bool(res.success), res.x.tolist()]))
+"""
+
+# Runs in a fresh interpreter: every kernel the package loads from its file,
+# then scipy's own packages, which must bind those modules and still work
+_PACKAGES_AFTER_KERNELS_PROBE = """
+import json
+import numpy as np
+from sphereineq import _scipy_kernels
+from sphereineq.exponents import make_parameter_point
+from sphereineq.sphere_calculus import _inverse_mass, make_rule, random_band_limited_exponential
+from sphereineq.variational import bound_curve_sweep, principal_eigenvalue
+rule = make_rule(3, 24)
+potential = random_band_limited_exponential(rule, np.random.default_rng(3), scale=0.5)
+lowest = principal_eigenvalue(potential, "plus_V")
+sweep = bound_curve_sweep(make_parameter_point(3, 3.0), [1.5], node_count=24, restarts=1)
+import scipy.linalg, scipy.optimize, scipy.special
+bound = [
+    scipy.special._ufuncs is _scipy_kernels.ufuncs(),
+    scipy.linalg._flapack.dsyevr is _scipy_kernels._extension("linalg", "_flapack").dsyevr,
+    scipy.optimize._lbfgsb.setulb is _scipy_kernels.setulb(),
+]
+x, w = scipy.special.roots_jacobi(24, 0.5, 0.5)
+matrix = np.diag(rule.eigenvalues) + rule.basis.T @ ((rule.weights * potential.values)[:, None] * rule.basis)
+res = scipy.optimize.minimize(
+    lambda y: (((y - 1.0) ** 2).sum(), 2.0 * (y - 1.0)), np.zeros(3), jac=True, method="L-BFGS-B"
+)
+print(json.dumps([
+    bound,
+    x.tobytes() == rule.nodes.tobytes() and (w * _inverse_mass(3)).tobytes() == rule.weights.tobytes(),
+    float(scipy.linalg.eigh(matrix, eigvals_only=True, subset_by_index=(0, 0))[0]) == lowest,
+    sweep.converged[0],
+    bool(res.success), res.x.tolist(),
+]))
 """
 
 
@@ -193,8 +226,16 @@ class TestSetulb:
         ).stdout.splitlines()[-1]
         before, same_module, same_as_minimize, success, x = json.loads(out)
         if order == "direct_first":
-            assert before == ["scipy.optimize._lbfgsb"]  # the file alone, no package
+            assert before == []  # the file alone: no scipy module stays loaded
         assert same_module and same_as_minimize
+        assert success and x == pytest.approx([1.0, 1.0, 1.0])
+
+    def test_scipy_packages_bind_the_loaded_kernels(self):
+        run = run_fresh_python(_PACKAGES_AFTER_KERNELS_PROBE)
+        assert run.returncode == 0, run.stderr
+        bound, same_rule, same_eigenvalue, converged, success, x = json.loads(run.stdout.splitlines()[-1])
+        assert bound == [True, True, True]
+        assert same_rule and same_eigenvalue and converged
         assert success and x == pytest.approx([1.0, 1.0, 1.0])
 
 
