@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import importlib
 import json
 import math
 import os
@@ -44,22 +43,10 @@ OUT_DIR_ENV = "SPHEREINEQ_OUT_DIR"
 __all__ = ["main", "build_parser", "OUT_DIR_ENV"]
 
 # Each command imports numpy and the numeric modules it calls inside its own
-# functions, so constants and figure2 run without numpy.  These two names are
-# resolved on first access by the module __getattr__ and read off this module
-# by the commands, so that a test can replace them on it.
-_LAZY_NAMES = {"ckp_distance": ".sphere_calculus", "klt_validate": ".variational"}
-_this = sys.modules[__name__]
+# functions, so constants and figure2 run without numpy.
 
 # Most points of a figure2 p grid; the default grids have at most 341.
 _MAX_GRID_POINTS = 100_000
-
-
-def __getattr__(name: str):
-    if name not in _LAZY_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(_LAZY_NAMES[name], __package__), name)
-    globals()[name] = value
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -569,14 +556,14 @@ def _suite_gns(pp, rule, rng, args) -> list[dict]:
 
 
 def _suite_ckp(pp, rule, rng, args) -> list[dict]:
-    from .sphere_calculus import random_band_limited_exponential
+    from .sphere_calculus import ckp_distance, random_band_limited_exponential
 
     n, tol = args.n, args.tol
     margins = []
     worst = math.inf
     for _ in range(n):
         u = random_band_limited_exponential(rule, rng)
-        lower, gap = _this.ckp_distance(u, pp.p)
+        lower, gap = ckp_distance(u, pp.p)
         margins.append(gap - lower + tol * (1.0 + abs(gap)))
         worst = min(worst, gap - lower)
     return [_margin_entry("ckp_gap_dominates_distance", margins, worst)]
@@ -738,12 +725,14 @@ def cmd_verify(args) -> tuple[int, str, dict]:
 
 
 def cmd_klt(args) -> tuple[int, str, dict]:
+    from .variational import klt_validate
+
     modes = ["minus_V", "plus_V"] if args.mode == "both" else [args.mode]
 
     mode_reports = []
     passed = True
     for mode in modes:
-        rep = _this.klt_validate(
+        rep = klt_validate(
             args.d,
             args.q,
             n_samples=args.samples,
@@ -800,6 +789,17 @@ def cmd_klt(args) -> tuple[int, str, dict]:
 # parser
 
 
+def _seed(text: str) -> int:
+    """The --seed type: numpy's generators take only integers >= 0."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _add_out_dir(sub) -> None:
     sub.add_argument(
         "--out-dir",
@@ -830,7 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--refine", action="store_true", help="halve the grid step")
     sp.add_argument("--n-nodes", type=int, default=48, help="quadrature nodes for the minimization")
     sp.add_argument("--restarts", type=int, default=8, help="random restarts per grid value")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_out_dir(sp)
     sp.set_defaults(func=cmd_figure1)
@@ -855,7 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, default=3.0)
     sp.add_argument("--n", type=int, default=50, help="random test functions per check")
     sp.add_argument("--n-nodes", type=int, default=48)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--tol", type=float, default=1e-8, help="relative slack per check")
     _add_out_dir(sp)
     sp.set_defaults(func=cmd_verify)
@@ -867,7 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("minus_V", "plus_V", "both"), default="both")
     sp.add_argument("--n-nodes", type=int, default=48)
     sp.add_argument("--scale", type=float, default=0.5, help="size of the random potentials")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--tol", type=float, default=1e-8)
     _add_out_dir(sp)
     sp.set_defaults(func=cmd_klt)

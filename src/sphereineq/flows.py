@@ -514,6 +514,10 @@ def certify_ode_chain(
     the recorded Lyapunov quantity.  Nonlinear mode checks monotonicity of
     i - d e and, for admissible settings, of i psi'(e) - d psi(e).
     """
+    for name, tol in (("mass_tol", mass_tol), ("rate_tol", rate_tol),
+                      ("lyapunov_tol", lyapunov_tol), ("ode_tol", ode_tol)):
+        if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+            raise ValidationError(f"{name} must be finite and nonnegative, got {tol}")
     n = len(trace.times)
     if n < 64:
         raise ValidationError(f"trace too short for certification: {n} < 64 samples")

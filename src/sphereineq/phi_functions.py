@@ -16,9 +16,6 @@ phi'(0) = 1.  This module provides the three families of such functions:
 * their upper envelope over admissible beta, the best improvement this
   construction yields.
 
-phi_inverse inverts the scalar branches, which turns i >= d phi(e) into the
-entropy bound e <= phi^{-1}(i/d).
-
 All functions of s take scalars; PhiBetaQuadrature.value also accepts arrays
 since envelope and bound computations sweep many s at once.
 """
@@ -39,15 +36,10 @@ __all__ = [
     "PhiBetaQuadrature",
     "make_phi_spec",
     "phi",
-    "phi_closed_form",
-    "phi_log_case",
-    "psi",
     "make_phi_beta_quadrature",
     "phi_beta",
     "envelope_beta_samples",
     "phi_envelope",
-    "phi_inverse",
-    "psi_tilde",
 ]
 
 _DEFAULT_NODES = 64
@@ -97,61 +89,25 @@ def _phi_closed(gamma: float, p: float, s: float) -> float:
     return (x - xg) / eps
 
 
-def phi_closed_form(pp: ParameterPoint, s: float) -> float:
-    """Heat-flow improvement function away from the logarithmic exponent.
+def phi(pp: ParameterPoint, s: float) -> float:
+    """Heat-flow improvement function.
 
     phi(s) = [1 - (p-2)s - (1-(p-2)s)^(-gamma/(p-2))] / (2 - p - gamma),
-    defined for s in [0, 1/(p-2)) when p > 2 and all s >= 0 when p < 2.
+    defined for s in [0, 1/(p-2)) when p > 2 and all s >= 0 when p <= 2.
+    Exactly at gamma = 2 - p (p = p_star(d) in (1, 2)) it is the logarithmic
+    limit (1/(2-p)) (1 + (2-p)s) log(1 + (2-p)s), and at p = 2 the
+    exponential limit (e^(gamma s) - 1)/gamma.
     """
     p = pp.p
+    s = _check_s(p, s)
     if p == 2.0:
-        raise ValidationError(
-            "p = 2 uses the exponential branch (expm1(gamma s)/gamma); call phi"
-        )
-    if _is_log_branch(pp):
-        raise ValidationError(
-            f"gamma = 2 - p at (d, p) = ({pp.d}, {p}); use phi_log_case"
-        )
-    s = _check_s(p, s)
-    return _phi_closed(pp.gamma, p, s)
-
-
-def phi_log_case(pp: ParameterPoint, s: float) -> float:
-    """Logarithmic-branch improvement function, valid exactly at gamma = 2 - p.
-
-    phi(s) = (1/(2-p)) (1 + (2-p)s) log(1 + (2-p)s); the exponent p is then
-    p_star(d) which lies in (1, 2), so the domain is all s >= 0.
-    """
-    p = pp.p
-    if not _is_log_branch(pp):
-        raise ValidationError(
-            f"gamma != 2 - p at (d, p) = ({pp.d}, {p}); use phi_closed_form"
-        )
-    s = _check_s(p, s)
-    if s == 0.0:
-        return 0.0
-    q = 2.0 - p
-    return (1.0 + q * s) * math.log1p(q * s) / q
-
-
-def phi(pp: ParameterPoint, s: float) -> float:
-    """Heat-flow improvement function with automatic branch selection.
-
-    Dispatches between the closed form, the logarithmic branch at
-    gamma = 2 - p, and the exponential branch (e^(gamma s) - 1)/gamma at
-    p = 2 (the limit of the closed form as p -> 2).
-    """
-    if pp.p == 2.0:
-        s = _check_s(pp.p, s)
         return math.expm1(pp.gamma * s) / pp.gamma
     if _is_log_branch(pp):
-        return phi_log_case(pp, s)
-    return phi_closed_form(pp, s)
-
-
-def psi(pp: ParameterPoint, s: float) -> float:
-    """phi(s) - s, the quantity bounding the deficit from below; nonnegative."""
-    return phi(pp, s) - s
+        if s == 0.0:
+            return 0.0
+        q = 2.0 - p
+        return (1.0 + q * s) * math.log1p(q * s) / q
+    return _phi_closed(pp.gamma, p, s)
 
 
 @dataclass(frozen=True)
@@ -309,7 +265,7 @@ def phi_beta(fs: FlowSetting, s: float, node_count: int = _DEFAULT_NODES) -> flo
     if fs.pp.p <= 2.0:
         raise ValidationError("the nonlinear-flow family requires p > 2")
     if fs.beta == 1.0:
-        return phi_closed_form(fs.pp, s)
+        return phi(fs.pp, s)
     return make_phi_beta_quadrature(fs, node_count).value(s)
 
 
@@ -406,59 +362,6 @@ def phi_envelope(pp: ParameterPoint, s,
     else:
         best = np.full(s_arr.shape, -np.inf)
     if table.has_beta_one:
-        np.maximum(best, [phi_closed_form(pp, float(si)) for si in s_arr], out=best)
+        # _entropy_array checked s, and p > 2 is on the closed-form branch
+        np.maximum(best, [_phi_closed(pp.gamma, p, float(si)) for si in s_arr], out=best)
     return float(best[0]) if scalar else best
-
-
-# ---------------------------------------------------------------------------
-# Inverse
-# ---------------------------------------------------------------------------
-
-
-def phi_inverse(pp: ParameterPoint, y: float) -> float:
-    """Inverse of the heat-flow improvement function (automatic branch).
-
-    phi is strictly increasing from 0 to +infinity on its domain, so every
-    y >= 0 has a unique preimage; solved by bracketed root finding to
-    relative tolerance well below 1e-10.
-    """
-    y = float(y)
-    if not math.isfinite(y) or y < 0.0:
-        raise ValidationError(f"phi_inverse requires finite y >= 0, got {y}")
-    if y == 0.0:
-        return 0.0
-    p = pp.p
-    f = lambda s: phi(pp, s) - y
-    if p > 2.0:
-        sup = _s_sup(p)
-        hi = 0.5 * sup
-        # approach the pole geometrically until phi(hi) >= y
-        for _ in range(200):
-            if f(hi) >= 0.0:
-                break
-            hi = sup - 0.5 * (sup - hi)
-        else:
-            raise ValidationError(f"y = {y} exceeds the representable range of phi")
-    else:
-        hi = 1.0
-        for _ in range(2000):
-            if f(hi) >= 0.0:
-                break
-            hi *= 2.0
-        else:
-            raise ValidationError(f"y = {y} exceeds the representable range of phi")
-    from scipy.optimize import brentq
-
-    return float(brentq(f, 0.0, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps,
-                        maxiter=300))
-
-
-def psi_tilde(pp: ParameterPoint, i: float) -> float:
-    """i - d phi_inverse(i/d): the deficit guaranteed at information level i.
-
-    Nonnegative since phi(s) >= s implies phi_inverse(y) <= y.
-    """
-    i = float(i)
-    if not math.isfinite(i) or i < 0.0:
-        raise ValidationError(f"information level must be finite and >= 0, got {i}")
-    return i - pp.d * phi_inverse(pp, i / pp.d)

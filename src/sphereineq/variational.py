@@ -562,6 +562,8 @@ def klt_validate(
         raise ValidationError(f"sample count must be at least 1, got {n_samples}")
     if not math.isfinite(scale) or scale < 0.0:
         raise ValidationError(f"potential scale must be finite and nonnegative, got {scale}")
+    if not math.isfinite(tolerance) or tolerance < 0.0:
+        raise ValidationError(f"tolerance must be finite and nonnegative, got {tolerance}")
     if sign_mode == "minus_V":
         if q <= max(1.0, d / 2.0):
             raise ValidationError(

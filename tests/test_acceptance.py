@@ -23,7 +23,7 @@ from sphereineq.bounds import (
 )
 from sphereineq.exponents import make_flow_setting, make_parameter_point
 from sphereineq.flows import certify_ode_chain, make_flow_config, run_heat_flow, run_nonlinear_flow
-from sphereineq.phi_functions import make_phi_spec, phi_closed_form
+from sphereineq.phi_functions import make_phi_spec, phi
 from sphereineq.sphere_calculus import (
     AxiFunction,
     ckp_distance,
@@ -119,11 +119,11 @@ def certification_interval(pp):
     """
     sup = 1.0 / (pp.p - 2.0) if pp.p > 2.0 else math.inf
     hi = 0.85 * sup if math.isfinite(sup) else 3.0
-    if phi_closed_form(pp, hi) > PHI_CAP:
+    if phi(pp, hi) > PHI_CAP:
         lo, up = 0.0, hi
         for _ in range(80):
             mid = 0.5 * (lo + up)
-            if phi_closed_form(pp, mid) > PHI_CAP:
+            if phi(pp, mid) > PHI_CAP:
                 up = mid
             else:
                 lo = mid
@@ -137,7 +137,7 @@ def ode_residual_max(pp, n_points=100):
     h = 1.0e-4 * hi
     worst = 0.0
     for s in np.linspace(1.0e-3 * hi, hi, n_points):
-        f = lambda x: phi_closed_form(pp, float(x))
+        f = lambda x: phi(pp, float(x))
         dphi = (-f(s + 2 * h) + 8 * f(s + h) - 8 * f(s - h) + f(s - 2 * h)) / (12 * h)
         rhs = 1.0 + pp.gamma * f(s) / (1.0 - (pp.p - 2.0) * s)
         worst = max(worst, abs(dphi - rhs))

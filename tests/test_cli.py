@@ -418,6 +418,13 @@ class TestFlow:
         assert run_cli("flow", str(tmp_path / "broken.json"), "--out-dir", str(tmp_path)) == 2
         assert run_cli("flow", str(tmp_path / "absent.json"), "--out-dir", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tol_exits_2_and_writes_nothing(self, tol, tmp_path):
+        config = write_config(tmp_path / "heat.json")
+        out = tmp_path / "out"
+        assert run_cli("flow", str(config), "--tol", tol, "--out-dir", str(out)) == 2
+        assert list(out.iterdir()) == []
+
     def test_shipped_configs_parse(self, tmp_path):
         import pathlib
 
@@ -474,7 +481,7 @@ class TestVerify:
         assert first == second
 
     def test_violation_exits_3(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "ckp_distance", lambda u, p: (1.0, 0.0))
+        monkeypatch.setattr("sphereineq.sphere_calculus.ckp_distance", lambda u, p: (1.0, 0.0))
         code = run_cli(
             "verify", "ckp", "--d", "3", "--p", "3", "--n", "3", "--n-nodes", "24",
             "--out-dir", str(tmp_path),
@@ -517,6 +524,7 @@ class TestKLT:
 
     @pytest.mark.parametrize("bad", [
         ["--samples", "0"], ["--samples", "-1"], ["--scale", "-1"], ["--scale", "nan"], ["--scale", "inf"],
+        ["--tol", "nan"], ["--tol", "-1"], ["--tol", "inf"],
     ])
     def test_bad_samples_or_scale_exits_2(self, bad, tmp_path):
         assert run_cli("klt", "--n-nodes", "24", *bad, "--out-dir", str(tmp_path)) == 2
@@ -528,7 +536,7 @@ class TestKLT:
             margins=(-1.0,), min_margin=-1.0, violation_count=1,
             tolerance=1e-8, seed=0,
         )
-        monkeypatch.setattr(cli, "klt_validate", lambda *a, **k: fake)
+        monkeypatch.setattr("sphereineq.variational.klt_validate", lambda *a, **k: fake)
         code = run_cli(
             "klt", "--d", "3", "--q", "3", "--samples", "1", "--mode", "minus_V",
             "--out-dir", str(tmp_path),
@@ -586,6 +594,15 @@ class TestMainContract:
             run_cli("--version")
         assert excinfo.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["figure1", "--lambda-grid", "1.5"], ["verify", "gns"], ["klt"],
+    ])
+    def test_negative_seed_exits_2_and_writes_nothing(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(*argv, "--seed", "-1", "--out-dir", str(tmp_path))
+        assert excinfo.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_invariant_violation_maps_to_3(self, monkeypatch):
         from sphereineq.errors import InvariantViolation

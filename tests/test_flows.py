@@ -516,6 +516,14 @@ class TestCertification:
             certify_ode_chain(stub)
 
 
+    @pytest.mark.parametrize("name", ["mass_tol", "rate_tol", "lyapunov_tol", "ode_tol"])
+    def test_bad_tolerance_rejected(self, name):
+        trace = run_heat_flow(tilted(RULE3), make_flow_config(D3P3, 0.5, sample_count=65))
+        for bad in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValidationError, match=name):
+                certify_ode_chain(trace, **{name: bad})
+
+
 class TestExport:
     def test_csv_round_trip(self, tmp_path):
         trace = run_heat_flow(tilted(RULE3), make_flow_config(D3P3, 0.5, sample_count=65))

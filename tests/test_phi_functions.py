@@ -21,12 +21,7 @@ from sphereineq.phi_functions import (
     make_phi_spec,
     phi,
     phi_beta,
-    phi_closed_form,
     phi_envelope,
-    phi_inverse,
-    phi_log_case,
-    psi,
-    psi_tilde,
 )
 
 
@@ -68,14 +63,19 @@ def random_point(rng, p_lo=1.05, p_hi=None, avoid_log_branch=True):
         return pp
 
 
+def psi(pp, s):
+    """phi(s) - s, the quantity bounding the deficit from below."""
+    return phi(pp, s) - s
+
+
 class TestClosedForm:
     def test_zero(self):
-        assert phi_closed_form(make_parameter_point(3, 3.0), 0.0) == 0.0
+        assert phi(make_parameter_point(3, 3.0), 0.0) == 0.0
 
     def test_golden_value(self):
         # equals (2^0.56 - 0.5)/1.56; frozen after checking a 40000-step RK4
         # integration of phi' = 1 + gamma phi/(1-(p-2)s) to 5.7e-14
-        v = phi_closed_form(make_parameter_point(3, 3.0), 0.5)
+        v = phi(make_parameter_point(3, 3.0), 0.5)
         assert v == pytest.approx(0.6245315495455777, abs=1e-14)
         assert v == pytest.approx((2.0**0.56 - 0.5) / 1.56, abs=1e-15)
 
@@ -84,26 +84,20 @@ class TestClosedForm:
         for _ in range(8):
             pp = random_point(rng)
             s_end = 0.5 / (pp.p - 2.0) if pp.p > 2.0 else 2.0
-            v = phi_closed_form(pp, s_end)
+            v = phi(pp, s_end)
             assert v == pytest.approx(rk4_phi(pp.gamma, pp.p, s_end), abs=1e-9 * (1 + v))
 
     def test_divergence_at_pole(self):
-        assert phi_closed_form(make_parameter_point(3, 3.0), 1.0 - 1e-6) > 1e3
+        assert phi(make_parameter_point(3, 3.0), 1.0 - 1e-6) > 1e3
 
     def test_domain_errors(self):
         pp = make_parameter_point(3, 3.0)
         with pytest.raises(ValidationError):
-            phi_closed_form(pp, 1.0)
+            phi(pp, 1.0)
         with pytest.raises(ValidationError):
-            phi_closed_form(pp, -0.1)
+            phi(pp, -0.1)
         # p < 2 has no upper restriction
-        assert phi_closed_form(make_parameter_point(3, 1.5), 50.0) > 50.0
-
-    def test_branch_errors(self):
-        with pytest.raises(ValidationError):
-            phi_closed_form(make_parameter_point(1, 1.75), 0.5)
-        with pytest.raises(ValidationError):
-            phi_closed_form(make_parameter_point(3, 2.0), 0.5)
+        assert phi(make_parameter_point(3, 1.5), 50.0) > 50.0
 
     def test_convexity_and_lower_bound(self):
         rng = np.random.default_rng(17)
@@ -123,7 +117,7 @@ class TestClosedForm:
         # relative accuracy where the naive difference of powers would cancel
         pp = make_parameter_point(3, 3.0)
         for s in (1e-12, 1e-9, 1e-7):
-            v = phi_closed_form(pp, s)
+            v = phi(pp, s)
             taylor = s + 0.5 * pp.gamma * s * s
             assert v == pytest.approx(taylor, rel=1e-10)
 
@@ -131,26 +125,22 @@ class TestClosedForm:
 class TestLogCase:
     def test_golden_value(self):
         # (1/(1/4)) (5/4) log(5/4) at the d = 1 logarithmic exponent 7/4
-        v = phi_log_case(make_parameter_point(1, 1.75), 1.0)
+        v = phi(make_parameter_point(1, 1.75), 1.0)
         assert v == pytest.approx(5.0 * math.log(1.25), abs=1e-15)
         assert v == pytest.approx(1.1157177565710488, abs=1e-14)
 
     def test_rk4_agreement(self):
-        v = phi_log_case(make_parameter_point(1, 1.75), 1.0)
+        v = phi(make_parameter_point(1, 1.75), 1.0)
         assert v == pytest.approx(rk4_phi(0.25, 1.75, 1.0), abs=1e-10)
 
     def test_continuity_across_branch(self):
-        v_log = phi_log_case(make_parameter_point(1, 1.75), 1.0)
+        v_log = phi(make_parameter_point(1, 1.75), 1.0)
         for dp in (1e-6, -1e-6):
-            v_closed = phi_closed_form(make_parameter_point(1, 1.75 + dp), 1.0)
+            v_closed = phi(make_parameter_point(1, 1.75 + dp), 1.0)
             assert v_closed == pytest.approx(v_log, abs=1e-4)
 
-    def test_branch_error(self):
-        with pytest.raises(ValidationError):
-            phi_log_case(make_parameter_point(3, 3.0), 0.5)
-
     def test_zero(self):
-        assert phi_log_case(make_parameter_point(1, 1.75), 0.0) == 0.0
+        assert phi(make_parameter_point(1, 1.75), 0.0) == 0.0
 
 
 class TestDispatcher:
@@ -163,10 +153,6 @@ class TestDispatcher:
         v = phi(pp, 0.7)
         oracle = rk4_phi(g, 2.0, 0.7)
         assert v == pytest.approx(oracle, abs=1e-12)
-
-    def test_routes_to_log_case(self):
-        pp = make_parameter_point(1, 1.75)
-        assert phi(pp, 1.0) == phi_log_case(pp, 1.0)
 
     def test_phi_spec_variants(self):
         assert make_phi_spec(make_parameter_point(3, 3.0)).variant == "closed-form"
@@ -248,7 +234,7 @@ class TestPhiBeta:
 
     def test_beta_one_redirects_to_closed_form(self):
         fs = make_flow_setting(make_parameter_point(3, 3.0), 1.0)
-        assert phi_beta(fs, 0.4) == phi_closed_form(fs.pp, 0.4)
+        assert phi_beta(fs, 0.4) == phi(fs.pp, 0.4)
 
     def test_rejects_inadmissible_and_p_below_two(self):
         with pytest.raises(ValidationError):
@@ -357,7 +343,7 @@ def reference_phi_envelope(pp, s, beta_samples=64, node_count=64, beta_cap=1e3):
     best = np.full(s_arr.shape, -np.inf)
     for beta in envelope_beta_samples(pp, beta_samples, beta_cap):
         if beta == 1.0:
-            vals = np.array([phi_closed_form(pp, float(si)) for si in s_arr])
+            vals = np.array([phi(pp, float(si)) for si in s_arr])
         else:
             fs = make_flow_setting(pp, beta)
             if not fs.admissible:
@@ -460,38 +446,3 @@ class TestEnvelopeBits:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
-
-
-class TestInverse:
-    def test_zero(self):
-        assert phi_inverse(make_parameter_point(3, 3.0), 0.0) == 0.0
-
-    def test_round_trip_p_above_two(self):
-        pp = make_parameter_point(3, 3.0)
-        for s in (0.1, 0.3, 0.7):
-            y = phi_closed_form(pp, s)
-            assert phi_inverse(pp, y) == pytest.approx(s, abs=1e-9)
-
-    def test_round_trip_p_below_two_and_log(self):
-        for pp in (make_parameter_point(3, 1.5), make_parameter_point(1, 1.75)):
-            for s in (0.5, 3.0, 20.0):
-                assert phi_inverse(pp, phi(pp, s)) == pytest.approx(s, rel=1e-10)
-
-    def test_golden_inverse(self):
-        v = phi_inverse(make_parameter_point(3, 3.0), 0.6245315495455777)
-        assert v == pytest.approx(0.5, abs=1e-12)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValidationError):
-            phi_inverse(make_parameter_point(3, 3.0), -0.5)
-
-    def test_psi_tilde_nonnegative(self):
-        pp = make_parameter_point(3, 3.0)
-        rng = np.random.default_rng(71)
-        assert psi_tilde(pp, 0.0) == 0.0
-        for i in rng.uniform(0.0, 8.0, size=25):
-            assert psi_tilde(pp, float(i)) >= -1e-12
-        # deficit i - d e is recovered: psi_tilde(d phi(s)) = d psi(s)
-        s = 0.4
-        i = pp.d * phi(pp, s)
-        assert psi_tilde(pp, i) == pytest.approx(pp.d * psi(pp, s), rel=1e-9)

@@ -524,6 +524,7 @@ class TestKLT:
 
     @pytest.mark.parametrize("kwargs", [
         {"n_samples": 0}, {"n_samples": -1}, {"scale": -1.0}, {"scale": math.nan}, {"scale": math.inf},
+        {"tolerance": -1.0}, {"tolerance": math.nan}, {"tolerance": math.inf},
     ])
     def test_rejects_empty_battery_and_bad_scale(self, kwargs):
         with pytest.raises(ValidationError):
