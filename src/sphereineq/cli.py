@@ -120,8 +120,9 @@ def _rint(x: float) -> float:
 
 
 def _tag(x: float) -> str:
-    """Compact positive-number tag for file names (3.0 -> '3', 1.25 -> '1.25')."""
-    return f"{float(x):g}".replace("-", "m")
+    """File-name tag: %g where it round-trips (3.0 -> '3'), else repr; '-' -> 'm'."""
+    text = f"{float(x):g}"
+    return (text if float(text) == float(x) else repr(float(x))).replace("-", "m")
 
 
 def _print_table(table: dict) -> None:
@@ -143,21 +144,7 @@ def _print_table(table: dict) -> None:
 def cmd_constants(args) -> tuple[int, str, dict]:
     pp = make_parameter_point(args.d, args.p)
 
-    table: dict = {
-        "d": pp.d,
-        "p": pp.p,
-        "two_star": pp.two_star,
-        "two_sharp": pp.two_sharp,
-        "p_star": pp.p_star,
-        "gamma": pp.gamma,
-        "delta": pp.delta,
-        "kappa_p": pp.kappa_p,
-        "sphere_volume": pp.sphere_volume,
-        "is_log_case": pp.is_log_case,
-        "is_critical": pp.is_critical,
-        "in_bakry_emery_range": pp.in_bakry_emery_range,
-        "in_nonlinear_range": pp.in_nonlinear_range,
-    }
+    table: dict = dataclasses.asdict(pp)
     if pp.p != 2.0:
         table["gns_constant"] = c_dp(pp)
     if pp.d >= 3:
@@ -166,8 +153,11 @@ def cmd_constants(args) -> tuple[int, str, dict]:
         improved_constant, log_lambda = afst_constants(pp)
         table["afst_gns_constant"] = improved_constant
         table["afst_log_lambda"] = log_lambda
-    if pp.in_nonlinear_range:
+    try:
         rng_beta = beta_roots(pp)
+    except ValidationError:
+        pass  # outside the flow range, or (3, 6) where gamma(beta) = -1: no admissible beta
+    else:
         table["beta_range_kind"] = rng_beta.kind
         for k, (lo, hi) in enumerate(rng_beta.components):
             table[f"beta_component_{k}"] = f"({repr(lo)}, {repr(hi)})"
@@ -520,13 +510,24 @@ def _margin_entry(name: str, margins: list[float], worst_deficit: float) -> dict
 
 
 def _deficit_battery(name, functions, tol, evaluate) -> dict:
+    """Margins deficit + tol (1 + |lhs|) of the pairs (lhs, deficit) = evaluate(u)."""
     margins = []
     worst_deficit = math.inf
     for u in functions:
-        result = evaluate(u)
-        margins.append(result.deficit + tol * (1.0 + abs(result.lhs)))
-        worst_deficit = min(worst_deficit, result.deficit)
+        lhs, deficit = evaluate(u)
+        margins.append(deficit + tol * (1.0 + abs(lhs)))
+        worst_deficit = min(worst_deficit, deficit)
     return _margin_entry(name, margins, worst_deficit)
+
+
+def _inequality(evaluate, inequality_id: str, pp):
+    """u -> (lhs, deficit) of evaluate(u, inequality_id, pp), for _deficit_battery."""
+
+    def lhs_deficit(u):
+        result = evaluate(u, inequality_id, pp)
+        return result.lhs, result.deficit
+
+    return lhs_deficit
 
 
 def _random_even_function(rule, rng, degree: int = 4, scale: float = 0.4):
@@ -547,10 +548,10 @@ def _suite_gns(pp, rule, rng, args) -> list[dict]:
     functions = [random_band_limited_exponential(rule, rng) for _ in range(n)]
     checks = []
     base_id = "log_sobolev" if pp.p == 2.0 else "gns"
-    checks.append(_deficit_battery(base_id, functions, tol, lambda u: deficit(u, base_id, pp)))
+    checks.append(_deficit_battery(base_id, functions, tol, _inequality(deficit, base_id, pp)))
     if pp.p != 2.0 and pp.p <= pp.two_sharp:
         checks.append(
-            _deficit_battery("improved_gns", functions, tol, lambda u: deficit(u, "improved_gns", pp))
+            _deficit_battery("improved_gns", functions, tol, _inequality(deficit, "improved_gns", pp))
         )
     return checks
 
@@ -558,15 +559,13 @@ def _suite_gns(pp, rule, rng, args) -> list[dict]:
 def _suite_ckp(pp, rule, rng, args) -> list[dict]:
     from .sphere_calculus import ckp_distance, random_band_limited_exponential
 
-    n, tol = args.n, args.tol
-    margins = []
-    worst = math.inf
-    for _ in range(n):
-        u = random_band_limited_exponential(rule, rng)
+    functions = [random_band_limited_exponential(rule, rng) for _ in range(args.n)]
+
+    def gap_over_lower(u):
         lower, gap = ckp_distance(u, pp.p)
-        margins.append(gap - lower + tol * (1.0 + abs(gap)))
-        worst = min(worst, gap - lower)
-    return [_margin_entry("ckp_gap_dominates_distance", margins, worst)]
+        return gap, gap - lower
+
+    return [_deficit_battery("ckp_gap_dominates_distance", functions, args.tol, gap_over_lower)]
 
 
 def _suite_euclidean(pp, rule, rng, args) -> list[dict]:
@@ -578,19 +577,22 @@ def _suite_euclidean(pp, rule, rng, args) -> list[dict]:
     flat_functions = [push_forward(u) for u in sphere_functions]
     checks = [
         _deficit_battery(
-            "weighted_gns", flat_functions, tol, lambda v: euclidean_deficit(v, "weighted_gns", pp)
+            "weighted_gns", flat_functions, tol, _inequality(euclidean_deficit, "weighted_gns", pp)
         )
     ]
 
-    margins = []
-    worst = math.inf
-    for u, v in zip(sphere_functions, flat_functions):
-        flat = euclidean_deficit(v, "weighted_gns", pp)
-        sphere = deficit(u, "gns", pp)
-        gap = flat.deficit - pp.sphere_volume * sphere.deficit
-        margins.append(tol * (1.0 + abs(flat.deficit)) - abs(gap))
-        worst = min(worst, -abs(gap))
-    checks.append(_margin_entry("flat_matches_scaled_sphere", margins, worst))
+    def flat_vs_sphere(uv):
+        # deficit -|gap|: passes while the flat and scaled sphere deficits agree to tol (1 + |flat|)
+        u, v = uv
+        flat = euclidean_deficit(v, "weighted_gns", pp).deficit
+        gap = flat - pp.sphere_volume * deficit(u, "gns", pp).deficit
+        return flat, -abs(gap)
+
+    checks.append(
+        _deficit_battery(
+            "flat_matches_scaled_sphere", zip(sphere_functions, flat_functions), tol, flat_vs_sphere
+        )
+    )
 
     if pp.in_bakry_emery_range:
         checks.append(
@@ -598,13 +600,13 @@ def _suite_euclidean(pp, rule, rng, args) -> list[dict]:
                 "sharper_stability",
                 flat_functions,
                 tol,
-                lambda v: euclidean_deficit(v, "sharper_stability", pp),
+                _inequality(euclidean_deficit, "sharper_stability", pp),
             )
         )
         if pp.p > 2.0:
             checks.append(
                 _deficit_battery(
-                    "stability", flat_functions, tol, lambda v: euclidean_deficit(v, "stability", pp)
+                    "stability", flat_functions, tol, _inequality(euclidean_deficit, "stability", pp)
                 )
             )
     return checks
@@ -616,7 +618,7 @@ def _suite_antipodal(pp, rule, rng, args) -> list[dict]:
     n, tol = args.n, args.tol
     functions = [_random_even_function(rule, rng) for _ in range(n)]
     return [
-        _deficit_battery("antipodal", functions, tol, lambda u: deficit(u, "antipodal", pp))
+        _deficit_battery("antipodal", functions, tol, _inequality(deficit, "antipodal", pp))
     ]
 
 

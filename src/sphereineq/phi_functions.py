@@ -101,7 +101,10 @@ def phi(pp: ParameterPoint, s: float) -> float:
     p = pp.p
     s = _check_s(p, s)
     if p == 2.0:
-        return math.expm1(pp.gamma * s) / pp.gamma
+        try:
+            return math.expm1(pp.gamma * s) / pp.gamma
+        except OverflowError:  # gamma > 0 at p = 2
+            return math.inf
     if _is_log_branch(pp):
         if s == 0.0:
             return 0.0

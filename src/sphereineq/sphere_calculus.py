@@ -385,141 +385,26 @@ def _nu(s: np.ndarray, q: float) -> np.ndarray:
     return out
 
 
-_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
-_SQRT_EPS = math.sqrt(2.2e-16)
-
-
-def _bounded_minimum(func, lo: float, hi: float, xatol: float) -> float:
-    """Smallest value found by Brent's bounded minimization of func on [lo, hi].
-
-    Step for step the golden-section/parabolic loop of
-    scipy.optimize.minimize_scalar(method="bounded"), with its default cap of
-    500 evaluations, so the same iterates and the same minimum come out,
-    without importing scipy.optimize.
-    """
-    a, b = lo, hi
-    fulc = a + _GOLDEN_MEAN * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:
-            # parabola through the three best points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm - xf >= 0.0 else -tol1
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = _GOLDEN_MEAN * e
-        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:
-            break
-    return fx
-
-
 @lru_cache(maxsize=64)
-def c_q(q: float, scan_points: int = 4096) -> float:
-    """Infimum over t > 0, t != 1 of (t^q - 1 - q(t-1)) / nu_q(t - 1).
+def c_q(q: float) -> float:
+    """Infimum over t > 0, t != 1 of (t^q - 1 - q(t-1)) / nu_q(t - 1): min(2^q - 1 - q, 1).
 
-    The quadratic branch covers t in (0, 2] where nu is (t-1)^2; the power
-    branch covers t > 2.  The limit values q(q-1)/2 (t -> 1), q - 1 (t -> 0)
-    and 1 (t -> infinity) enter as candidates so the infimum is captured even
-    when it is not attained.  Memoized: ckp_distance asks for the same
-    constant on every call.
+    For 1 < q <= 2 the quotient is non-increasing on (0, 2] and
+    non-decreasing on [2, inf), so the infimum is its value 2^q - 1 - q at
+    t = 2; for q >= 2 both monotonicities flip and the infimum is the
+    t -> inf limit 1.  Proof of the monotonicities:
+      on (0, 2] the quotient is q(q-1) int_0^1 (1-tau)(1+tau(t-1))^(q-2) dtau;
+      on t >= 2, s = t - 1, ((1+s)^q - 1 - qs)/s^q has d/ds of the sign of 1 + (q-1)s - (1+s)^(q-1).
+    Memoized: ckp_distance asks for the same constant on every call.
     """
     q = float(q)
     if not math.isfinite(q) or q <= 1.0:
         raise ValidationError(f"c_q requires q > 1, got {q}")
-    if scan_points < 64:
-        raise ValidationError(f"scan_points too small: {scan_points}")
-
-    def bregman(t):
-        # t^q - 1 - q (t - 1), written through expm1/log1p near t = 1 where
-        # the leading q (t - 1) terms cancel
-        t = np.asarray(t, dtype=float)
-        h = t - 1.0
-        small = np.abs(h) <= 0.5
-        out = np.empty_like(h)
-        out[small] = np.expm1(q * np.log1p(h[small])) - q * h[small]
-        out[~small] = t[~small] ** q - 1.0 - q * h[~small]
-        return out
-
-    def quad_branch(t):
-        t = np.asarray(t, dtype=float)
-        return bregman(t) / (t - 1.0) ** 2
-
-    def power_branch(t):
-        t = np.asarray(t, dtype=float)
-        return bregman(t) / (t - 1.0) ** q
-
-    candidates = [0.5 * q * (q - 1.0), q - 1.0, 1.0]
-
-    t1 = np.linspace(1.0e-9, 2.0, scan_points)
-    mask = np.abs(t1 - 1.0) > 1.0e-5
-    v1 = quad_branch(t1[mask])
-    i1 = int(np.argmin(v1))
-    candidates.append(float(v1[i1]))
-    lo = t1[mask][max(i1 - 1, 0)]
-    hi = t1[mask][min(i1 + 1, len(v1) - 1)]
-    if hi > lo and not (lo < 1.0 < hi):
-        candidates.append(_bounded_minimum(lambda t: float(quad_branch(t)), lo, hi, 1.0e-12))
-
-    t2 = np.geomspace(2.0, 1.0e6, scan_points)
-    v2 = power_branch(t2)
-    i2 = int(np.argmin(v2))
-    candidates.append(float(v2[i2]))
-    lo = t2[max(i2 - 1, 0)]
-    hi = t2[min(i2 + 1, scan_points - 1)]
-    if hi > lo:
-        candidates.append(_bounded_minimum(lambda t: float(power_branch(t)), lo, hi, 1.0e-12))
-
-    return min(candidates)
+    # float64 array power, as the scan this replaced took t ** q: scalar power differs in the last bit
+    return min(float((np.array([2.0]) ** q - 1.0 - q)[0]), 1.0)
 
 
-def ckp_distance(u: AxiFunction, p: float, scan_points: int = 4096) -> tuple[float, float]:
+def ckp_distance(u: AxiFunction, p: float) -> tuple[float, float]:
     """Distance-type lower bound on the entropy gap and the gap itself.
 
     For p in [1, 2) the gap is |u|_2^2 - |u|_p^2 and the bound is the
@@ -551,7 +436,7 @@ def ckp_distance(u: AxiFunction, p: float, scan_points: int = 4096) -> tuple[flo
             raise ValidationError("distance bound needs a nonzero function")
         s = u.values**2 / n22 - 1.0
         integral = u.rule.integrate(_nu(s, 0.5 * p))
-        lower = n22 * ((1.0 + c_q(0.5 * p, scan_points) * integral) ** (2.0 / p) - 1.0)
+        lower = n22 * ((1.0 + c_q(0.5 * p) * integral) ** (2.0 / p) - 1.0)
         gap = np2 - n22
     return float(lower), float(gap)
 

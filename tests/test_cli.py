@@ -83,6 +83,28 @@ class TestConstants:
         report = load_json(tmp_path / "constants_d3_p3_b0.2.json")
         assert report["admissible"] is False
 
+    def test_degenerate_critical_point_has_no_beta_rows(self, tmp_path, capsys):
+        # at (3, 6) gamma(beta) = -1 for every beta: no admissible flow exponent
+        assert run_cli("constants", "--d", "3", "--p", "6", "--out-dir", str(tmp_path)) == 0
+        report = load_json(tmp_path / "constants_d3_p6.json")
+        assert report["in_nonlinear_range"] is True and report["gamma"] == -1.0
+        assert not any(k.startswith(("beta", "m_")) for k in report)
+        assert "beta_range_kind" not in capsys.readouterr().out
+
+        assert run_cli(
+            "constants", "--d", "3", "--p", "6", "--beta", "1", "--out-dir", str(tmp_path)
+        ) == 0
+        report = load_json(tmp_path / "constants_d3_p6_b1.json")
+        assert report["admissible"] is False and report["gamma_beta"] == -1.0
+        assert "beta_range_kind" not in report
+
+    def test_nearby_exponents_write_distinct_files(self, tmp_path):
+        # %g would tag both runs p3 and the second would overwrite the first
+        for p in ("3", "3.0000001"):
+            assert run_cli("constants", "--d", "3", "--p", p, "--out-dir", str(tmp_path)) == 0
+        assert load_json(tmp_path / "constants_d3_p3.json")["p"] == 3.0
+        assert load_json(tmp_path / "constants_d3_p3.0000001.json")["p"] == 3.0000001
+
     def test_invalid_parameters_exit_2(self, tmp_path):
         assert run_cli("constants", "--d", "0", "--p", "3", "--out-dir", str(tmp_path)) == 2
         assert run_cli("constants", "--d", "3", "--p", "99", "--out-dir", str(tmp_path)) == 2
@@ -560,6 +582,14 @@ SMALL_RUNS = {
     "verify": (["verify", "gns", "--n", "4", "--n-nodes", "24"], "verify_gns_d3_p3"),
     "klt": (["klt", "--samples", "3", "--n-nodes", "24"], "klt_d3_q3_both"),
 }
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(3.0000001)
+def test_file_tag_round_trips(x):
+    # distinct values get distinct file names; the %g text stays where it is exact
+    assert float(cli._tag(x).replace("m", "-")) == x
+    assert [cli._tag(v) for v in (3.0, 5, 1.2, -0.5)] == ["3", "5", "1.2", "m0.5"]
 
 
 @pytest.mark.parametrize("command", list(SMALL_RUNS))

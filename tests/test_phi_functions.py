@@ -154,6 +154,11 @@ class TestDispatcher:
         oracle = rk4_phi(g, 2.0, 0.7)
         assert v == pytest.approx(oracle, abs=1e-12)
 
+    @pytest.mark.parametrize("d, p, s", [(3, 1.9, 1e100), (1, 1.75, 1e308), (3, 2.0, 2000.0)])
+    def test_overflow_is_inf_on_every_branch(self, d, p, s):
+        # closed form, log branch and p = 2 exponential limit
+        assert phi(make_parameter_point(d, p), s) == math.inf
+
     def test_phi_spec_variants(self):
         assert make_phi_spec(make_parameter_point(3, 3.0)).variant == "closed-form"
         assert make_phi_spec(make_parameter_point(1, 1.75)).variant == "log-case"
