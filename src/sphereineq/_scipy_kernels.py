@@ -1,10 +1,10 @@
 """scipy's compiled kernels, loaded from their files without scipy's packages.
 
 The package uses three of scipy's extension modules: the special-function
-ufuncs of scipy/special/_ufuncs, the LAPACK wrappers of
-scipy/linalg/_flapack and the L-BFGS-B routine of scipy/optimize/_lbfgsb.
-Importing the scipy.special, scipy.linalg or scipy.optimize package to reach
-them costs hundreds of milliseconds (mostly scipy's array-API layer, which
+ufuncs `_ufuncs` of scipy's special subpackage, the LAPACK wrappers
+`_flapack` of its linalg subpackage and the L-BFGS-B routine `_lbfgsb` of
+its optimize subpackage. Importing any of those subpackages to reach them
+costs hundreds of milliseconds (mostly scipy's array-API layer, which
 the package never calls); loading the extension files takes a few.
 
 On top of the loader sit step-for-step ports of the two pieces of scipy
@@ -79,7 +79,7 @@ def ufuncs() -> types.ModuleType:
 
 
 def setulb():
-    """scipy's compiled L-BFGS-B routine, setulb of scipy.optimize._lbfgsb."""
+    """scipy's compiled L-BFGS-B routine setulb, from its optimize subpackage's _lbfgsb."""
     return _extension("optimize", "_lbfgsb").setulb
 
 

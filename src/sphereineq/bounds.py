@@ -106,81 +106,66 @@ def mu_lower_prop34(pp: ParameterPoint, lam: float) -> float:
     )
 
 
+# The envelope scan: uniform in s up to x = 1 - (p - 2) s = 1e-2, then
+# geometric in x down to 1e-12, where (p - 2) phi_env(s) rises to its limit.
+# An interior maximum is refined by zooming onto the two neighbouring cells.
+_SCAN_UNIFORM = 256
+_SCAN_TAIL = 64
+_ZOOM_ROUNDS = 8
+_ZOOM_POINTS = 17
+
+
 @lru_cache(maxsize=16)
-def _envelope_grid(
-    pp: ParameterPoint,
-    beta_samples: int,
-    node_count: int,
-    beta_cap: float,
-    scan_points: int,
-) -> tuple:
-    """(s, phi_env(s)) as arrays on scan_points values spanning [0, 1/(p-2))."""
+def _envelope_grid(pp: ParameterPoint) -> tuple:
+    """(s, (p - 2) phi_env(s)) as arrays on the envelope scan grid of pp."""
     import numpy as np
 
     from .phi_functions import phi_envelope
 
-    s_sup = 1.0 / (pp.p - 2.0)
-    s = np.linspace(0.0, (1.0 - 1.0e-9) * s_sup, scan_points)
-    vals = phi_envelope(
-        pp, s, beta_samples=beta_samples, node_count=node_count, beta_cap=beta_cap
-    )
-    return s, np.asarray(vals, dtype=float)
+    p2 = pp.p - 2.0
+    x_tail = np.geomspace(1.0e-2, 1.0e-12, _SCAN_TAIL + 1)[1:]
+    s = np.concatenate([np.linspace(0.0, 0.99 / p2, _SCAN_UNIFORM), (1.0 - x_tail) / p2])
+    return s, p2 * phi_envelope(pp, s)
 
 
-def mu_lower_envelope(
-    pp: ParameterPoint,
-    lam: float,
-    *,
-    beta_samples: int = 64,
-    node_count: int = 64,
-    beta_cap: float = 1.0e3,
-    scan_points: int = 256,
-) -> float:
+def _envelope_scan_max(pp: ParameterPoint, objective) -> float:
+    """Largest objective(s, (p - 2) phi_env(s)) over the scan grid, zoomed in at an interior maximum."""
+    import numpy as np
+
+    from .phi_functions import phi_envelope
+
+    s, big_phi = _envelope_grid(pp)
+    vals = objective(s, big_phi)
+    i = int(vals.argmax())
+    best = float(vals[i])
+    if 0 < i < len(s) - 1:
+        lo, hi = s[i - 1], s[i + 1]
+        for _ in range(_ZOOM_ROUNDS):
+            t = np.linspace(lo, hi, _ZOOM_POINTS)
+            vals = objective(t, (pp.p - 2.0) * phi_envelope(pp, t))
+            j = int(vals.argmax())
+            best = max(best, float(vals[j]))
+            lo, hi = t[max(j - 1, 0)], t[min(j + 1, _ZOOM_POINTS - 1)]
+    return best
+
+
+def mu_lower_envelope(pp: ParameterPoint, lam: float) -> float:
     """Lower bound on mu(lam) from the envelope of all nonlinear-flow curves.
 
     Minimizes (p - 2) phi_env(s) + lam (1 - (p - 2) s) over the admissible
     entropy range; with the single curve beta = 1 this reproduces
-    mu_lower_thm2 exactly, so the envelope value is never worse.  A coarse
-    scan brackets the minimum and a golden-section refinement sharpens it.
+    mu_lower_thm2 exactly, so the envelope value is never worse.  Past the
+    scan grid's last point, (p - 2) phi_env is at least its value Phi_end
+    there, since phi_env increases, so min(scan minimum, Phi_end) bounds the
+    whole range.
     """
     lam = float(lam)
     if not math.isfinite(lam) or lam < 1.0:
         raise ValidationError(f"lam must be finite and >= 1, got {lam}")
     _require_subcritical_above_two(pp, "mu_lower_envelope")
-    if scan_points < 8:
-        raise ValidationError(f"scan_points must be >= 8, got {scan_points}")
-    p = pp.p
-    s, phi_vals = _envelope_grid(pp, beta_samples, node_count, beta_cap, scan_points)
-    h = (p - 2.0) * phi_vals + lam * (1.0 - (p - 2.0) * s)
-    i = int(h.argmin())
-    best = float(h[i])
-    if 0 < i < len(s) - 1:
-        from scipy.optimize import minimize_scalar
-
-        from .phi_functions import phi_envelope
-
-        def objective(sv: float) -> float:
-            val = phi_envelope(
-                pp,
-                float(sv),
-                beta_samples=beta_samples,
-                node_count=node_count,
-                beta_cap=beta_cap,
-            )
-            return (p - 2.0) * float(val) + lam * (1.0 - (p - 2.0) * float(sv))
-
-        try:
-            res = minimize_scalar(
-                objective,
-                bracket=(float(s[i - 1]), float(s[i]), float(s[i + 1])),
-                method="golden",
-                options={"xtol": 1.0e-11},
-            )
-            if math.isfinite(res.fun):
-                best = min(best, float(res.fun))
-        except ValueError:
-            pass
-    return best
+    p2 = pp.p - 2.0
+    scan_min = -_envelope_scan_max(pp, lambda s, big_phi: -(big_phi + lam * (1.0 - p2 * s)))
+    return min(scan_min, float(_envelope_grid(pp)[1][-1]))
 
 
 def klt_lambda_bar_schrodinger(pp: ParameterPoint, mu: float) -> float:
@@ -188,8 +173,11 @@ def klt_lambda_bar_schrodinger(pp: ParameterPoint, mu: float) -> float:
 
     With q > max(1, d/2), p = 2q/(q-1) and mu the L^q norm of V, the lowest
     eigenvalue is >= -lambda_bar(mu) with lambda_bar given here: mu itself for
-    mu <= 1, the explicit inverse of mu_lower_thm2 for 2 < p < 2#, and a
-    numeric inverse of the envelope bound for larger subcritical p.
+    mu <= 1, the explicit inverse of mu_lower_thm2 for 2 < p < 2#, and for
+    larger subcritical p the inverse of mu_lower_envelope, which by duality
+    is the supremum over s of (mu - (p - 2) phi_env(s)) / (1 - (p - 2) s).
+    Above the level Phi_end of mu_lower_envelope the envelope bounds
+    nothing and lambda_bar is inf.
     """
     mu = float(mu)
     if not math.isfinite(mu) or mu <= 0.0:
@@ -201,20 +189,9 @@ def klt_lambda_bar_schrodinger(pp: ParameterPoint, mu: float) -> float:
     g = pp.gamma
     if p < pp.two_sharp:
         return float((p - 2.0 + g * mu ** (1.0 + (p - 2.0) / g)) / (p - 2.0 + g))
-
-    def gap(lam: float) -> float:
-        return mu_lower_envelope(pp, lam) - mu
-
-    from scipy.optimize import brentq
-
-    hi = 2.0
-    while gap(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1.0e12:
-            raise ValidationError(
-                f"no lam <= 1e12 reaches the envelope bound level mu = {mu}"
-            )
-    return float(brentq(gap, 1.0, hi, xtol=1.0e-12, rtol=1.0e-12))
+    if mu > _envelope_grid(pp)[1][-1]:
+        return math.inf
+    return _envelope_scan_max(pp, lambda s, big_phi: (mu - big_phi) / (1.0 - (p - 2.0) * s))
 
 
 def klt_lambda_bar_reverse(pp: ParameterPoint, mu: float) -> float:

@@ -575,22 +575,18 @@ def _suite_euclidean(pp, rule, rng, args) -> list[dict]:
     n, tol = args.n, args.tol
     sphere_functions = [random_band_limited_exponential(rule, rng) for _ in range(n)]
     flat_functions = [push_forward(u) for u in sphere_functions]
-    checks = [
-        _deficit_battery(
-            "weighted_gns", flat_functions, tol, _inequality(euclidean_deficit, "weighted_gns", pp)
-        )
-    ]
+    weighted = [euclidean_deficit(v, "weighted_gns", pp) for v in flat_functions]
+    checks = [_deficit_battery("weighted_gns", weighted, tol, lambda r: (r.lhs, r.deficit))]
 
-    def flat_vs_sphere(uv):
+    def flat_vs_sphere(ur):
         # deficit -|gap|: passes while the flat and scaled sphere deficits agree to tol (1 + |flat|)
-        u, v = uv
-        flat = euclidean_deficit(v, "weighted_gns", pp).deficit
-        gap = flat - pp.sphere_volume * deficit(u, "gns", pp).deficit
-        return flat, -abs(gap)
+        u, result = ur
+        gap = result.deficit - pp.sphere_volume * deficit(u, "gns", pp).deficit
+        return result.deficit, -abs(gap)
 
     checks.append(
         _deficit_battery(
-            "flat_matches_scaled_sphere", zip(sphere_functions, flat_functions), tol, flat_vs_sphere
+            "flat_matches_scaled_sphere", zip(sphere_functions, weighted), tol, flat_vs_sphere
         )
     )
 

@@ -277,31 +277,29 @@ def phi_beta(fs: FlowSetting, s: float, node_count: int = _DEFAULT_NODES) -> flo
 # ---------------------------------------------------------------------------
 
 
-def envelope_beta_samples(pp: ParameterPoint,
-                          beta_samples: int = _DEFAULT_BETA_SAMPLES,
-                          beta_cap: float = _DEFAULT_BETA_CAP) -> list[float]:
+def envelope_beta_samples(pp: ParameterPoint) -> list[float]:
     """Log-spaced admissible beta values used to sample the envelope.
 
-    Each component of the admissible set contributes beta_samples points,
-    geometrically spaced (no component contains 0, so each has a fixed
-    sign); infinite endpoints are clipped to |beta| = beta_cap.  beta = 1 is
-    appended whenever admissible.
+    Each component of the admissible set contributes _DEFAULT_BETA_SAMPLES
+    points, geometrically spaced (no component contains 0, so each has a
+    fixed sign); infinite endpoints are clipped to |beta| = _DEFAULT_BETA_CAP.
+    beta = 1 is appended whenever admissible.
     """
     br = beta_roots(pp)
     values: list[float] = []
     for lo, hi in br.components:
-        lo_c, hi_c = max(lo, -beta_cap), min(hi, beta_cap)
+        lo_c, hi_c = max(lo, -_DEFAULT_BETA_CAP), min(hi, _DEFAULT_BETA_CAP)
         if lo_c > hi_c:
             continue
         sign = 1.0 if lo_c > 0.0 else -1.0
         mag_lo, mag_hi = sorted((abs(lo_c), abs(hi_c)))
-        grid = sign * np.geomspace(mag_lo, mag_hi, beta_samples)
+        grid = sign * np.geomspace(mag_lo, mag_hi, _DEFAULT_BETA_SAMPLES)
         values.extend(float(b) for b in grid)
     if br.contains(1.0):
         values.append(1.0)
     if not values:
         raise InvariantViolation(
-            f"no admissible beta within |beta| <= {beta_cap} at "
+            f"no admissible beta within |beta| <= {_DEFAULT_BETA_CAP} at "
             f"(d, p) = ({pp.d}, {pp.p}); the admissible set itself is never empty"
         )
     return sorted(set(values))
@@ -319,10 +317,9 @@ class _BetaTable:
 
 
 @lru_cache(maxsize=64)
-def _beta_table(pp: ParameterPoint, beta_samples: int, node_count: int,
-                beta_cap: float) -> _BetaTable:
+def _beta_table(pp: ParameterPoint) -> _BetaTable:
     exponent_a, prefactor_c, has_beta_one = [], [], False
-    for beta in envelope_beta_samples(pp, beta_samples, beta_cap):
+    for beta in envelope_beta_samples(pp):
         if beta == 1.0:
             has_beta_one = True
             continue
@@ -331,18 +328,15 @@ def _beta_table(pp: ParameterPoint, beta_samples: int, node_count: int,
             # roundoff at clipped component endpoints can push gamma(beta)
             # a hair below zero; such beta contribute phi_beta ~ s anyway
             continue
-        quad = make_phi_beta_quadrature(fs, node_count)
+        quad = make_phi_beta_quadrature(fs)
         exponent_a.append(quad.exponent_a)
         prefactor_c.append(quad.prefactor_c)
-    nodes, weights = _gauss_legendre_01(node_count)
+    nodes, weights = _gauss_legendre_01(_DEFAULT_NODES)
     return _BetaTable(exponent_a=np.array(exponent_a), prefactor_c=np.array(prefactor_c),
                       has_beta_one=has_beta_one, nodes=nodes, weights=weights)
 
 
-def phi_envelope(pp: ParameterPoint, s,
-                 beta_samples: int = _DEFAULT_BETA_SAMPLES,
-                 node_count: int = _DEFAULT_NODES,
-                 beta_cap: float = _DEFAULT_BETA_CAP):
+def phi_envelope(pp: ParameterPoint, s):
     """Pointwise maximum of phi_beta over sampled admissible beta, p > 2.
 
     Accepts scalar or array s; the envelope dominates every sampled member,
@@ -357,7 +351,7 @@ def phi_envelope(pp: ParameterPoint, s,
         raise ValidationError(
             f"the envelope is defined for p < 2d/(d-2) = {pp.two_star}, got p = {p}"
         )
-    table = _beta_table(pp, beta_samples, node_count, beta_cap)
+    table = _beta_table(pp)
     scalar, s_arr = _entropy_array(p, s)
     if table.exponent_a.size:
         best = _member_values(p, table.exponent_a, table.prefactor_c, table.nodes,

@@ -80,12 +80,9 @@ class UltrasphericalRule:
         self._eigenvalues = None
 
     def _build_basis(self) -> None:
-        eval_jacobi = _scipy_kernels.ufuncs().eval_jacobi
         a = 0.5 * self.d - 1.0
         n = self.n
-        P = np.empty((n, n))
-        for k in range(n):
-            P[:, k] = eval_jacobi(k, a, a, self.nodes)
+        P = _scipy_kernels.ufuncs().eval_jacobi(np.arange(n), a, a, self.nodes[:, None])
         norms = np.sqrt(np.sum(self.weights[:, None] * P * P, axis=0))
         P /= norms
         P.setflags(write=False)

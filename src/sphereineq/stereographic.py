@@ -165,15 +165,13 @@ def _second_moment_rule(d: int, n: int):
     # Quadrature for the extra weight (1 + z)/(1 - z): Gauss-Jacobi nodes for
     # (1-z)^(d/2-2) (1+z)^(d/2), plus the orthonormal sphere basis evaluated
     # there so that grid functions transfer exactly (u^2 has degree 2n - 2).
-    eval_jacobi = _scipy_kernels.ufuncs().eval_jacobi
     rule = make_rule(d, n)
     a = 0.5 * d - 1.0
     z_hat, w_hat = _scipy_kernels.roots_jacobi(n, a - 1.0, a + 1.0)
-    raw_nodes = np.empty((n, n))
-    raw_hat = np.empty((n, n))
-    for k in range(n):
-        raw_nodes[:, k] = eval_jacobi(k, a, a, rule.nodes)
-        raw_hat[:, k] = eval_jacobi(k, a, a, z_hat)
+    raw = _scipy_kernels.ufuncs().eval_jacobi(
+        np.arange(n), a, a, np.concatenate([rule.nodes, z_hat])[:, None]
+    )
+    raw_nodes, raw_hat = raw[:n], raw[n:]
     norms = np.sqrt(np.sum(rule.weights[:, None] * raw_nodes**2, axis=0))
     basis_hat = raw_hat / norms
     w_hat = w_hat * _inverse_mass(d)

@@ -144,7 +144,7 @@ class _QuotientModel:
 # L-BFGS-B settings of every descent round: memory, the relative-decrease
 # tolerance ftol = 1e-17 expressed as a multiple of the machine epsilon (the
 # form setulb takes), the projected-gradient tolerance, and the evaluation and
-# line-search caps that scipy.optimize.minimize applies by default.
+# line-search caps that scipy's minimize applies by default.
 _LBFGS_MEMORY = 20
 _LBFGS_FACTR = 1.0e-17 / np.finfo(float).eps
 _LBFGS_PGTOL = 1.0e-11
@@ -155,7 +155,7 @@ _LBFGS_MAXLS = 20
 def _lbfgsb(fun_and_grad, x0: np.ndarray, max_iters: int):
     """Unbounded L-BFGS-B through the reverse-communication routine setulb.
 
-    This is the loop of scipy.optimize.minimize(method="L-BFGS-B", jac=True)
+    This is the loop of scipy's minimize(method="L-BFGS-B", jac=True)
     without its per-evaluation wrappers: the same workspace and settings,
     the same stop codes for the iteration and evaluation caps, the same
     reuse of the last value when an evaluation repeats the previous point,

@@ -18,6 +18,7 @@ from sphereineq.bounds import (
 )
 from sphereineq.errors import ValidationError
 from sphereineq.exponents import make_parameter_point
+from sphereineq.phi_functions import phi_envelope
 
 
 def refined_scan_min(f, lo, hi, n_coarse=2048, n_fine=10_000, geometric=False):
@@ -221,6 +222,30 @@ class TestEnvelopeBound:
             mu_lower_envelope(make_parameter_point(3, 3.0), 0.5)
 
 
+def dense_envelope_oracle(pp):
+    """(x, (p - 2) phi_env(s)) on 20,000 points uniform in x = 1 - (p - 2) s and 20,000 geometric down to 1e-12."""
+    p2 = pp.p - 2.0
+    x = np.concatenate([np.linspace(1.0, 1.0e-2, 20_000), np.geomspace(1.0e-2, 1.0e-12, 20_000)])
+    s = (1.0 - x) / p2
+    big_phi = np.concatenate([p2 * phi_envelope(pp, chunk) for chunk in np.array_split(s, 20)])
+    return 1.0 - p2 * s, big_phi
+
+
+@pytest.mark.parametrize("p", [5.0, 4.8, 16.0 / 3.0])
+def test_envelope_bound_and_inverse_match_dense_oracle(p):
+    pp = make_parameter_point(3, p)
+    x, big_phi = dense_envelope_oracle(pp)
+    for lam in np.geomspace(1.0, 1.0e12, 60):
+        oracle_min = float(np.min(big_phi + lam * x))
+        assert mu_lower_envelope(pp, lam) <= oracle_min * (1.0 + 1.0e-7)
+    phi_end = big_phi[-1]
+    for frac in (0.1, 0.5, 0.9, 0.999):
+        mu = 1.0 + frac * (phi_end - 1.0)
+        oracle_sup = float(np.max((mu - big_phi) / x))
+        assert klt_lambda_bar_schrodinger(pp, mu) == pytest.approx(oracle_sup, rel=1.0e-7)
+    assert klt_lambda_bar_schrodinger(pp, phi_end + 1.0e-3) == math.inf
+
+
 class TestSchrodingerEigenvalueBound:
     def test_identity_below_one(self):
         pp = make_parameter_point(3, 3.0)
@@ -241,10 +266,13 @@ class TestSchrodingerEigenvalueBound:
             )
 
     def test_numeric_branch_inverse_property(self):
+        # at (3, 5) the envelope bound rises to Phi_end = 1.2799 as lam -> inf,
+        # so it inverts below that level and bounds nothing above it
         pp = make_parameter_point(3, 5.0)
-        lam = klt_lambda_bar_schrodinger(pp, 1.5)
+        lam = klt_lambda_bar_schrodinger(pp, 1.2)
         assert lam > 1.0
-        assert mu_lower_envelope(pp, lam) == pytest.approx(1.5, abs=1e-8)
+        assert mu_lower_envelope(pp, lam) == pytest.approx(1.2, abs=1e-8)
+        assert klt_lambda_bar_schrodinger(pp, 1.5) == math.inf
 
     def test_rejections(self):
         with pytest.raises(ValidationError):

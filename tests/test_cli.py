@@ -552,6 +552,18 @@ class TestKLT:
         assert run_cli("klt", "--n-nodes", "24", *bad, "--out-dir", str(tmp_path)) == 2
         assert list(tmp_path.iterdir()) == []
 
+    def test_envelope_branch_exits_0(self, tmp_path):
+        # q = 1.6 gives p = 16/3 above 2#, where the bound inverts the envelope
+        # bound; at the default scale most potentials lie above its level
+        code = run_cli(
+            "klt", "--d", "3", "--q", "1.6", "--mode", "minus_V", "--samples", "20",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        report = load_json(tmp_path / "klt_d3_q1.6_minus_V.json")
+        assert report["passed"]
+        assert report["modes"][0]["violation_count"] == 0
+
     def test_violation_exits_3(self, tmp_path, monkeypatch):
         fake = KLTReport(
             d=3, q=3.0, p=3.0, sign_mode="minus_V", n_samples=1,
@@ -770,6 +782,7 @@ _IMPORT_GUARD_CASES = {
     "flow": (["flow", str(ROOT / "configs" / "heat_d3_p3.json")], _RULES),
     "verify_gns": (["verify", "gns", "--n", "4", "--n-nodes", "24"], _RULES),
     "klt": (["klt", "--samples", "3", "--n-nodes", "24"], _RULES),
+    "klt_envelope": (["klt", "--d", "3", "--q", "1.6", "--mode", "minus_V", "--samples", "3", "--n-nodes", "24"], _RULES),
     "figure1": (
         ["figure1", "--lambda-grid", "1.5", "--n-nodes", "24", "--restarts", "1"],
         ["linalg._flapack", "optimize._lbfgsb", "special._ufuncs"],

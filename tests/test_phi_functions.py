@@ -311,9 +311,10 @@ class TestEnvelope:
         for b in samples:
             assert gamma_of_beta(pp, b) >= -1e-9
 
-    def test_empty_after_cap_raises(self):
+    def test_empty_after_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(phi_functions, "_DEFAULT_BETA_CAP", 0.5)
         with pytest.raises(InvariantViolation):
-            envelope_beta_samples(make_parameter_point(3, 5.0), beta_cap=0.5)
+            envelope_beta_samples(make_parameter_point(3, 5.0))
 
     def test_rejects_out_of_range_p(self):
         with pytest.raises(ValidationError):
@@ -341,19 +342,19 @@ def reference_quadrature_value(quad, s_arr):
     return s_arr * (kernel @ quad.weights)
 
 
-def reference_phi_envelope(pp, s, beta_samples=64, node_count=64, beta_cap=1e3):
+def reference_phi_envelope(pp, s):
     """phi_envelope as one quadrature per sampled beta, kept as the bit-level oracle."""
     scalar = np.isscalar(s) or (isinstance(s, np.ndarray) and np.ndim(s) == 0)
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     best = np.full(s_arr.shape, -np.inf)
-    for beta in envelope_beta_samples(pp, beta_samples, beta_cap):
+    for beta in envelope_beta_samples(pp):
         if beta == 1.0:
             vals = np.array([phi(pp, float(si)) for si in s_arr])
         else:
             fs = make_flow_setting(pp, beta)
             if not fs.admissible:
                 continue
-            vals = reference_quadrature_value(make_phi_beta_quadrature(fs, node_count), s_arr)
+            vals = reference_quadrature_value(make_phi_beta_quadrature(fs), s_arr)
         np.maximum(best, vals, out=best)
     return float(best[0]) if scalar else best
 

@@ -482,6 +482,14 @@ class TestKLT:
         assert report.violation_count == 0
         assert report.min_margin >= -1e-8
 
+    def test_envelope_branch_margin_is_inf_above_its_level(self):
+        # q = 1.6 gives p = 16/3 above 2#: a potential whose L^q norm exceeds
+        # the envelope bound's level gets no bound, so its margin is +inf
+        report = klt_validate(3, 1.6, n_samples=20, sign_mode="minus_V", node_count=24)
+        assert report.violation_count == 0
+        assert math.inf in report.margins
+        assert math.isfinite(report.min_margin)
+
     def test_linear_potential_example(self):
         rule = make_rule(3, 48)
         v = AxiFunction(rule, values=2.0 * (1.0 + rule.nodes))
