@@ -650,7 +650,8 @@ def _euclidean_skip(pp) -> str | None:
 # batteries share one random stream, so the order fixes the report bytes.
 _VERIFY_SUITES = (
     ("gns", lambda pp: None, _suite_gns),
-    ("ckp", lambda pp: "the entropy gap degenerates at p = 2" if pp.p == 2.0 else None, _suite_ckp),
+    ("ckp", lambda pp: {2.0: "the entropy gap degenerates at p = 2",
+                        4.0: "the CKP bound equals the entropy gap identically at p = 4"}.get(pp.p), _suite_ckp),
     ("euclidean", _euclidean_skip, _suite_euclidean),
     ("antipodal", lambda pp: "the antipodal bound needs d >= 3" if pp.d < 3 else None, _suite_antipodal),
     ("flow", lambda pp: None, _suite_flow),
@@ -728,6 +729,7 @@ def cmd_klt(args) -> tuple[int, str, dict]:
     modes = ["minus_V", "plus_V"] if args.mode == "both" else [args.mode]
 
     mode_reports = []
+    vacuous = {}
     passed = True
     for mode in modes:
         rep = klt_validate(
@@ -752,8 +754,9 @@ def cmd_klt(args) -> tuple[int, str, dict]:
         )
         print(
             f"[{'PASS' if rep.violation_count == 0 else 'FAIL'}] klt {rep.sign_mode}  "
-            f"n={rep.n_samples}  min_margin={repr(float(rep.min_margin))}"
+            f"n={rep.n_samples}  min_margin={repr(float(rep.min_margin))}  vacuous={rep.vacuous_count}"
         )
+        vacuous[rep.sign_mode] = rep.vacuous_count
 
     report = {
         "command": "klt",
@@ -780,6 +783,7 @@ def cmd_klt(args) -> tuple[int, str, dict]:
         "seed": args.seed,
         "tolerances": {"tol": args.tol},
         "outputs": [str(report_path)],
+        "diagnostics": {"vacuous_count": vacuous},
     }
 
 

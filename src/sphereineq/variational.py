@@ -12,7 +12,6 @@ interpolation family against sampled potentials.
 
 from __future__ import annotations
 
-import atexit
 import math
 import os
 from dataclasses import dataclass
@@ -247,11 +246,6 @@ _OPENBLAS_SET_THREADS = (
     "openblas_set_num_threads64_", "openblas_set_num_threads",
 )
 
-# (pid, pool, workers) of the pool the process with that pid built on its
-# first solve; pool is None where the descents run serially.  A forked child
-# sees its parent's entry under another pid and builds its own.
-_POOL = None
-
 
 def _pin_blas() -> None:
     """Set every OpenBLAS this process has loaded to one thread."""
@@ -279,45 +273,19 @@ def _start_worker() -> None:
     _pin_blas()
 
 
-def _worker_pool():
-    """(pool, workers) of this process, built on first use.
+def _worker_count() -> int:
+    """Processes that run a solve's descents: one forked worker per CPU in
+    the affinity mask, or 1, the descents then running serially in this
+    process, with one CPU, without fork, or inside a daemonic process (a pool
+    worker cannot have children)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if cpus == 1:
+        return 1
+    import multiprocessing
 
-    One forked worker per CPU in the affinity mask.  With one CPU, without
-    fork, or inside a daemonic process (a pool worker cannot have children)
-    the pool is None and the descents run serially in this process.
-    """
-    global _POOL
-    pid = os.getpid()
-    if _POOL is None or _POOL[0] != pid:
-        import multiprocessing
-
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        pool = None
-        if (
-            cpus > 1
-            and "fork" in multiprocessing.get_all_start_methods()
-            and not multiprocessing.current_process().daemon
-        ):
-            _scipy_kernels.setulb()  # loaded here once, not again in every worker
-            pool = multiprocessing.get_context("fork").Pool(cpus, initializer=_start_worker)
-            atexit.register(_close_pool)
-        _POOL = (pid, pool, cpus if pool is not None else 1)
-    return _POOL[1], _POOL[2]
-
-
-def _close_pool(terminate: bool = False) -> None:
-    """Stop this process's pool: finish its work and join it, or with
-    terminate, kill the workers and their queued tasks."""
-    global _POOL
-    if _POOL is None or _POOL[0] != os.getpid() or _POOL[1] is None:
-        return
-    pool = _POOL[1]
-    _POOL = None
-    if terminate:
-        pool.terminate()
-    else:
-        pool.close()
-    pool.join()
+    if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.current_process().daemon:
+        return 1
+    return cpus
 
 
 def _run_start(task):
@@ -347,7 +315,8 @@ def _start_points(n: int, restarts: int, seed: int) -> list:
 
 def _solve(pp: ParameterPoint, values, seeds, node_count, restarts, max_iters):
     """best_constant at each (value, seed), with every start of every value
-    in one ordered pass over the worker pool; returns (results, workers)."""
+    in one ordered pass over a worker pool of this solve; returns (results,
+    workers)."""
     if node_count < 8:
         raise ValidationError(f"node_count must be >= 8, got {node_count}")
     if restarts < 0:
@@ -361,16 +330,16 @@ def _solve(pp: ParameterPoint, values, seeds, node_count, restarts, max_iters):
         for value, points in zip(values, starts)
         for c0 in points
     ]
-    pool, workers = _worker_pool()
-    if pool is None:
+    workers = _worker_count()
+    if workers == 1:
         descents = list(map(_run_start, tasks))
     else:
-        try:
+        import multiprocessing
+
+        _scipy_kernels.setulb()  # loaded here once, not again in every worker
+        # leaving the block ends the workers on every path, queued tasks too
+        with multiprocessing.get_context("fork").Pool(workers, initializer=_start_worker) as pool:
             descents = list(pool.imap(_run_start, tasks, chunksize=1))
-        except BaseException:
-            # the workers may still hold this solve's tasks: drop them all
-            _close_pool(terminate=True)
-            raise
     per_value = len(starts[0])
     results = [
         _best_of(model, descents[k * per_value : (k + 1) * per_value])
@@ -416,7 +385,8 @@ def best_constant(
     profile is always the first start; the remaining starts are seeded
     band-limited perturbations of it.  The starts run in parallel on one
     worker per CPU of the affinity mask, with the same result as one after
-    another.  The reported value is an upper bound for the true optimal
+    another; the workers are forked for this call and have exited when it
+    returns.  The reported value is an upper bound for the true optimal
     constant that tightens with resolution.
     """
     if pp.p == 2.0:
@@ -525,7 +495,8 @@ def principal_eigenvalue(potential: AxiFunction, sign_mode: str) -> float:
 
 @dataclass(frozen=True)
 class KLTReport:
-    """Margin summary for the eigenvalue lower bounds over sampled potentials."""
+    """Margin summary for the eigenvalue lower bounds over sampled potentials;
+    vacuous_count samples got no bound (lambda_bar = inf, margin inf)."""
 
     d: int
     q: float
@@ -535,6 +506,7 @@ class KLTReport:
     margins: tuple
     min_margin: float
     violation_count: int
+    vacuous_count: int
     tolerance: float
     seed: int
 
@@ -615,6 +587,7 @@ def klt_validate(
         margins=tuple(margins),
         min_margin=float(min(margins)),
         violation_count=violations,
+        vacuous_count=margins.count(math.inf),
         tolerance=float(tolerance),
         seed=int(seed),
     )

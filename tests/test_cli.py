@@ -491,6 +491,23 @@ class TestVerify:
             "verify", "ckp", "--d", "3", "--p", "2", "--out-dir", str(tmp_path)
         ) == 2
 
+    def test_ckp_at_p4_is_skipped(self, tmp_path, capsys):
+        # at p = 4 the CKP kernel is s^2 with c_2 = 1: the bound is the gap
+        reason = "the CKP bound equals the entropy gap identically at p = 4"
+        assert run_cli("verify", "ckp", "--d", "2", "--p", "4", "--out-dir", str(tmp_path)) == 2
+        assert reason in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_all_suites_at_p4_skip_ckp(self, tmp_path):
+        code = run_cli(
+            "verify", "all", "--d", "2", "--p", "4", "--n", "3", "--seed", "3",
+            "--n-nodes", "24", "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        report = load_json(tmp_path / "verify_all_d2_p4.json")
+        assert {"name": "ckp", "reason": "the CKP bound equals the entropy gap identically at p = 4"} in report["skipped"]
+        assert not any(c["name"].startswith("ckp") for c in report["checks"])
+
     def test_reruns_are_byte_identical(self, tmp_path):
         args = (
             "verify", "gns", "--d", "3", "--p", "3", "--n", "6", "--seed", "2",
@@ -524,7 +541,7 @@ class TestVerify:
 
 
 class TestKLT:
-    def test_both_modes_pass(self, tmp_path):
+    def test_both_modes_pass(self, tmp_path, capsys):
         code = run_cli(
             "klt", "--d", "3", "--q", "3", "--samples", "6", "--n-nodes", "24",
             "--seed", "5", "--out-dir", str(tmp_path),
@@ -534,6 +551,9 @@ class TestKLT:
         assert [m["sign_mode"] for m in report["modes"]] == ["minus_V", "plus_V"]
         assert all(m["violation_count"] == 0 for m in report["modes"])
         assert all(m["min_margin"] > 0.0 for m in report["modes"])
+        assert capsys.readouterr().out.count("  vacuous=0\n") == 2
+        manifest = load_json(tmp_path / "klt_d3_q3_both_manifest.json")
+        assert manifest["diagnostics"] == {"vacuous_count": {"minus_V": 0, "plus_V": 0}}
 
     def test_single_mode(self, tmp_path):
         code = run_cli(
@@ -552,22 +572,28 @@ class TestKLT:
         assert run_cli("klt", "--n-nodes", "24", *bad, "--out-dir", str(tmp_path)) == 2
         assert list(tmp_path.iterdir()) == []
 
-    def test_envelope_branch_exits_0(self, tmp_path):
+    def test_envelope_branch_exits_0(self, tmp_path, capsys):
         # q = 1.6 gives p = 16/3 above 2#, where the bound inverts the envelope
-        # bound; at the default scale most potentials lie above its level
+        # bound; at the default scale most potentials lie above its level, and
+        # the samples that got no bound are counted
         code = run_cli(
-            "klt", "--d", "3", "--q", "1.6", "--mode", "minus_V", "--samples", "20",
+            "klt", "--d", "3", "--q", "1.6", "--mode", "minus_V", "--samples", "50",
             "--out-dir", str(tmp_path),
         )
         assert code == 0
         report = load_json(tmp_path / "klt_d3_q1.6_minus_V.json")
         assert report["passed"]
         assert report["modes"][0]["violation_count"] == 0
+        assert "vacuous_count" not in report["modes"][0]
+        [line] = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[PASS] klt")]
+        assert line.endswith("  vacuous=49")
+        manifest = load_json(tmp_path / "klt_d3_q1.6_minus_V_manifest.json")
+        assert manifest["diagnostics"] == {"vacuous_count": {"minus_V": 49}}
 
     def test_violation_exits_3(self, tmp_path, monkeypatch):
         fake = KLTReport(
             d=3, q=3.0, p=3.0, sign_mode="minus_V", n_samples=1,
-            margins=(-1.0,), min_margin=-1.0, violation_count=1,
+            margins=(-1.0,), min_margin=-1.0, violation_count=1, vacuous_count=0,
             tolerance=1e-8, seed=0,
         )
         monkeypatch.setattr("sphereineq.variational.klt_validate", lambda *a, **k: fake)
@@ -839,13 +865,15 @@ class TestLazyScipyImports:
         assert json.loads(python_fresh(_PROCESS_PROBE, *argv)) == [0, [], []]
 
     def test_figure1_starts_its_workers(self, tmp_path):
-        # the probe above sees the pool of a command that builds one
+        # one worker per CPU runs the descents, and all have exited when
+        # main returns
         argv = ["figure1", "--lambda-grid", "1.5", "--n-nodes", "24", "--restarts", "1",
                 "--out-dir", str(tmp_path)]
         code, modules, children = json.loads(python_fresh(_PROCESS_PROBE, *argv))
         assert code == 0
+        assert children == []
         cpus = len(os.sched_getaffinity(0))
-        assert len(children) == (cpus if cpus > 1 else 0)
+        assert load_json(tmp_path / "figure1_d3_p3_manifest.json")["diagnostics"]["workers"] == cpus
         assert ("multiprocessing" in modules) == (cpus > 1)
 
     def test_verify_ckp_loads_no_optimize(self, tmp_path):

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -378,49 +379,67 @@ class TestWorkerPool:
 
     def test_workers_pin_blas_and_exit_cleanly(self):
         # no BLAS thread count in the environment: the pool initializer sets
-        # it; at exit the pool is joined, with nothing written to stderr even
-        # in development mode, which reports a pool left running
+        # it.  Each descent reports its process and BLAS thread counts on the
+        # shared stdout; nothing reaches stderr even in development mode,
+        # which reports a pool left running
         code = (
-            "import json, multiprocessing, sys\n"
+            "import json, os, sys\n"
             f"sys.path.insert(0, {str(Path(variational.__file__).resolve().parents[2] / 'bench')!r})\n"
             "from worker import blas_threads\n"
             "from sphereineq import variational\n"
             "from sphereineq.exponents import make_parameter_point\n"
-            "variational.best_constant(make_parameter_point(3, 3.0), 0.5, node_count=24, restarts=0)\n"
-            "pool, _ = variational._worker_pool()\n"
-            "counts = list(pool.apply(blas_threads).values()) if pool is not None else []\n"
-            "print(json.dumps([counts, [p.pid for p in multiprocessing.active_children()]]))\n"
+            "run_start = variational._run_start\n"
+            "def probe(task):\n"
+            "    line = json.dumps([os.getpid(), list(blas_threads().values())]) + '\\n'\n"
+            "    os.write(1, line.encode())  # one write: the lines of two workers do not mix\n"
+            "    return run_start(task)\n"
+            "variational._run_start = probe\n"
+            "variational.best_constant(make_parameter_point(3, 3.0), 0.5, node_count=24, restarts=1)\n"
+            "print(json.dumps([os.getpid(), None]))\n"
         )
         run = run_fresh_python(code, OPENBLAS_NUM_THREADS=None, OMP_NUM_THREADS=None, PYTHONDEVMODE="1")
         assert run.returncode == 0
         assert run.stderr == ""
-        counts, pids = json.loads(run.stdout)
-        cpus = len(os.sched_getaffinity(0))
-        assert len(pids) == (cpus if cpus > 1 else 0)
-        if cpus > 1:
-            assert counts  # numpy's OpenBLAS and scipy's
-        assert all(n == 1 for n in counts)
-        for pid in pids:
+        lines = [json.loads(line) for line in run.stdout.splitlines()]
+        parent = lines[-1][0]
+        starts = lines[:-1]
+        assert len(starts) == 4
+        if len(os.sched_getaffinity(0)) > 1:
+            assert all(pid != parent for pid, _ in starts)
+            for _, counts in starts:
+                assert counts  # numpy's OpenBLAS and scipy's
+                assert all(n == 1 for n in counts)
+        else:
+            assert all(pid == parent for pid, _ in starts)
+        for pid in {pid for pid, _ in starts} - {parent}:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
 
     def test_forked_pool_workers_solve_serially(self):
-        # a fork of this process sees its pool under the parent's pid, and a
-        # daemonic pool worker may not start processes: both solve in-process
+        # a daemonic pool worker may not start processes: it solves in-process
         expected = solve_value(2.0)
         with multiprocessing.get_context("fork").Pool(1) as outer:
             assert outer.apply_async(solve_value, (2.0,)).get(timeout=120) == expected
 
     def test_failed_solve_ends_the_pool(self, monkeypatch):
-        # a task that raises in a worker ends the pool with the tasks still
-        # queued; the next solve builds a new one
-        variational._close_pool()
+        # a task that raises in a worker ends the solve's workers with the
+        # tasks still queued; the next solve is unaffected
+        expected = solve_value(2.0)
         monkeypatch.setattr(variational, "_run_start", failing_start)
         with pytest.raises(ZeroDivisionError):
             best_constant(D3P3, 2.0, node_count=24, restarts=1)
-        assert variational._POOL is None or variational._POOL[1] is None
+        assert multiprocessing.active_children() == []
         monkeypatch.undo()
-        assert solve_value(2.0) == best_constant(D3P3, 2.0, node_count=24, restarts=1).value
+        assert solve_value(2.0) == expected
+
+    def test_solves_leave_no_process_or_thread(self):
+        threads = threading.active_count()
+        best_constant(D3P3, 0.5, node_count=24, restarts=1)
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+        bound_curve_sweep(D3P3, [0.5, 2.0], node_count=24, restarts=1)
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
 
     def test_clip_is_reported(self):
         model = _QuotientModel(D3P3, 2.0, 24)
@@ -474,6 +493,7 @@ class TestKLT:
         report = klt_validate(3, 3.0, n_samples=50, sign_mode="minus_V", seed=11)
         assert report.p == 3.0
         assert report.violation_count == 0
+        assert report.vacuous_count == 0
         assert report.min_margin >= -1e-8
 
     def test_repulsive_battery(self):
@@ -489,6 +509,12 @@ class TestKLT:
         assert report.violation_count == 0
         assert math.inf in report.margins
         assert math.isfinite(report.min_margin)
+
+    def test_counts_vacuous_samples(self):
+        # at the default scale 49 of 50 potentials lie above the envelope
+        # bound's level: only one sample is checked
+        report = klt_validate(3, 1.6, n_samples=50, sign_mode="minus_V")
+        assert report.vacuous_count == report.margins.count(math.inf) == 49
 
     def test_linear_potential_example(self):
         rule = make_rule(3, 48)
