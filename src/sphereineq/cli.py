@@ -54,28 +54,13 @@ _MAX_GRID_POINTS = 100_000
 
 
 def _jsonable(x):
-    """Recursively convert numpy arrays and scalars and non-finite floats for JSON."""
+    """x with every non-finite float, at any depth, as "nan", "inf" or "-inf"."""
     if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
+        return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    np = sys.modules.get("numpy")  # no numpy value exists before numpy is loaded
-    if np is not None:
-        if isinstance(x, np.ndarray):
-            return [_jsonable(v) for v in x.tolist()]
-        if isinstance(x, np.generic):
-            x = x.item()
-    if isinstance(x, bool):
-        return x
-    if isinstance(x, int):
-        return int(x)
-    if isinstance(x, float):
-        v = float(x)
-        if math.isfinite(v):
-            return v
-        if math.isnan(v):
-            return "nan"
-        return "inf" if v > 0 else "-inf"
+    if isinstance(x, float) and not math.isfinite(x):
+        return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
     return x
 
 
@@ -498,7 +483,13 @@ def cmd_flow(args) -> tuple[int, str, dict]:
 # verify
 
 
-def _margin_entry(name: str, margins: list[float], worst_deficit: float) -> dict:
+def _deficit_battery(name, pairs, tol) -> dict:
+    """Margins deficit + tol (1 + |lhs|) over the (lhs, deficit) pairs."""
+    margins = []
+    worst_deficit = math.inf
+    for lhs, deficit in pairs:
+        margins.append(deficit + tol * (1.0 + abs(lhs)))
+        worst_deficit = min(worst_deficit, deficit)
     worst = min(margins)
     return {
         "name": name,
@@ -507,27 +498,6 @@ def _margin_entry(name: str, margins: list[float], worst_deficit: float) -> dict
         "worst_deficit": worst_deficit,
         "passed": worst >= 0.0,
     }
-
-
-def _deficit_battery(name, functions, tol, evaluate) -> dict:
-    """Margins deficit + tol (1 + |lhs|) of the pairs (lhs, deficit) = evaluate(u)."""
-    margins = []
-    worst_deficit = math.inf
-    for u in functions:
-        lhs, deficit = evaluate(u)
-        margins.append(deficit + tol * (1.0 + abs(lhs)))
-        worst_deficit = min(worst_deficit, deficit)
-    return _margin_entry(name, margins, worst_deficit)
-
-
-def _inequality(evaluate, inequality_id: str, pp):
-    """u -> (lhs, deficit) of evaluate(u, inequality_id, pp), for _deficit_battery."""
-
-    def lhs_deficit(u):
-        result = evaluate(u, inequality_id, pp)
-        return result.lhs, result.deficit
-
-    return lhs_deficit
 
 
 def _random_even_function(rule, rng, degree: int = 4, scale: float = 0.4):
@@ -544,15 +514,14 @@ def _random_even_function(rule, rng, degree: int = 4, scale: float = 0.4):
 def _suite_gns(pp, rule, rng, args) -> list[dict]:
     from .sphere_calculus import deficit, random_band_limited_exponential
 
-    n, tol = args.n, args.tol
-    functions = [random_band_limited_exponential(rule, rng) for _ in range(n)]
-    checks = []
-    base_id = "log_sobolev" if pp.p == 2.0 else "gns"
-    checks.append(_deficit_battery(base_id, functions, tol, _inequality(deficit, base_id, pp)))
+    functions = [random_band_limited_exponential(rule, rng) for _ in range(args.n)]
+    inequality_ids = ["log_sobolev" if pp.p == 2.0 else "gns"]
     if pp.p != 2.0 and pp.p <= pp.two_sharp:
-        checks.append(
-            _deficit_battery("improved_gns", functions, tol, _inequality(deficit, "improved_gns", pp))
-        )
+        inequality_ids.append("improved_gns")
+    checks = []
+    for inequality_id in inequality_ids:
+        results = [deficit(u, inequality_id, pp) for u in functions]
+        checks.append(_deficit_battery(inequality_id, [(r.lhs, r.deficit) for r in results], args.tol))
     return checks
 
 
@@ -560,62 +529,43 @@ def _suite_ckp(pp, rule, rng, args) -> list[dict]:
     from .sphere_calculus import ckp_distance, random_band_limited_exponential
 
     functions = [random_band_limited_exponential(rule, rng) for _ in range(args.n)]
-
-    def gap_over_lower(u):
-        lower, gap = ckp_distance(u, pp.p)
-        return gap, gap - lower
-
-    return [_deficit_battery("ckp_gap_dominates_distance", functions, args.tol, gap_over_lower)]
+    distances = [ckp_distance(u, pp.p) for u in functions]
+    pairs = [(gap, gap - lower) for lower, gap in distances]
+    return [_deficit_battery("ckp_gap_dominates_distance", pairs, args.tol)]
 
 
 def _suite_euclidean(pp, rule, rng, args) -> list[dict]:
     from .sphere_calculus import deficit, random_band_limited_exponential
     from .stereographic import euclidean_deficit, push_forward
 
-    n, tol = args.n, args.tol
-    sphere_functions = [random_band_limited_exponential(rule, rng) for _ in range(n)]
+    sphere_functions = [random_band_limited_exponential(rule, rng) for _ in range(args.n)]
     flat_functions = [push_forward(u) for u in sphere_functions]
     weighted = [euclidean_deficit(v, "weighted_gns", pp) for v in flat_functions]
-    checks = [_deficit_battery("weighted_gns", weighted, tol, lambda r: (r.lhs, r.deficit))]
-
-    def flat_vs_sphere(ur):
-        # deficit -|gap|: passes while the flat and scaled sphere deficits agree to tol (1 + |flat|)
-        u, result = ur
-        gap = result.deficit - pp.sphere_volume * deficit(u, "gns", pp).deficit
-        return result.deficit, -abs(gap)
-
-    checks.append(
-        _deficit_battery(
-            "flat_matches_scaled_sphere", zip(sphere_functions, weighted), tol, flat_vs_sphere
-        )
-    )
-
+    # deficit -|gap|: passes while the flat and scaled sphere deficits agree to tol (1 + |flat|)
+    gaps = [r.deficit - pp.sphere_volume * deficit(u, "gns", pp).deficit
+            for u, r in zip(sphere_functions, weighted)]
+    checks = [
+        _deficit_battery("weighted_gns", [(r.lhs, r.deficit) for r in weighted], args.tol),
+        _deficit_battery("flat_matches_scaled_sphere",
+                         [(r.deficit, -abs(gap)) for r, gap in zip(weighted, gaps)], args.tol),
+    ]
+    inequality_ids = []
     if pp.in_bakry_emery_range:
-        checks.append(
-            _deficit_battery(
-                "sharper_stability",
-                flat_functions,
-                tol,
-                _inequality(euclidean_deficit, "sharper_stability", pp),
-            )
-        )
+        inequality_ids.append("sharper_stability")
         if pp.p > 2.0:
-            checks.append(
-                _deficit_battery(
-                    "stability", flat_functions, tol, _inequality(euclidean_deficit, "stability", pp)
-                )
-            )
+            inequality_ids.append("stability")
+    for inequality_id in inequality_ids:
+        results = [euclidean_deficit(v, inequality_id, pp) for v in flat_functions]
+        checks.append(_deficit_battery(inequality_id, [(r.lhs, r.deficit) for r in results], args.tol))
     return checks
 
 
 def _suite_antipodal(pp, rule, rng, args) -> list[dict]:
     from .sphere_calculus import deficit
 
-    n, tol = args.n, args.tol
-    functions = [_random_even_function(rule, rng) for _ in range(n)]
-    return [
-        _deficit_battery("antipodal", functions, tol, _inequality(deficit, "antipodal", pp))
-    ]
+    functions = [_random_even_function(rule, rng) for _ in range(args.n)]
+    results = [deficit(u, "antipodal", pp) for u in functions]
+    return [_deficit_battery("antipodal", [(r.lhs, r.deficit) for r in results], args.tol)]
 
 
 def _suite_flow(pp, rule, rng, args) -> list[dict]:

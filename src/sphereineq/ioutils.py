@@ -10,7 +10,7 @@ __all__ = ["atomic_write_text", "fmt_float"]
 
 
 def fmt_float(x: float) -> str:
-    """Shortest decimal form that round-trips a float64 (17 significant digits)."""
+    """17 significant digits, which round-trip every float64."""
     return "%.17g" % float(x)
 
 

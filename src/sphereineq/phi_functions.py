@@ -16,8 +16,8 @@ phi'(0) = 1.  This module provides the three families of such functions:
 * their upper envelope over admissible beta, the best improvement this
   construction yields.
 
-All functions of s take scalars; PhiBetaQuadrature.value also accepts arrays
-since envelope and bound computations sweep many s at once.
+All functions of s take scalars; PhiBetaQuadrature.value and phi_envelope
+also accept arrays since envelope and bound computations sweep many s at once.
 """
 
 from __future__ import annotations
@@ -234,9 +234,11 @@ class PhiBetaQuadrature:
         return float(vals[0]) if scalar else vals
 
 
-def make_phi_beta_quadrature(fs: FlowSetting,
-                             node_count: int = _DEFAULT_NODES) -> PhiBetaQuadrature:
-    """Build the quadrature evaluator for an admissible flow setting."""
+def _member_coefficients(fs: FlowSetting) -> tuple[float, float] | None:
+    """(a, c) of the flow member phi_beta, or None at beta = 1 (the heat-flow phi).
+
+    Raises unless beta is admissible and p > 2.
+    """
     p, beta = fs.pp.p, fs.beta
     if not fs.admissible:
         raise ValidationError(
@@ -245,14 +247,21 @@ def make_phi_beta_quadrature(fs: FlowSetting,
     if p <= 2.0:
         raise ValidationError("the nonlinear-flow family requires p > 2")
     if beta == 1.0:
+        return None
+    return (p * (beta - 1.0) / (2.0 * beta * (p - 2.0)),
+            2.0 * fs.gamma_beta / (beta * (beta - 1.0) * p))
+
+
+def make_phi_beta_quadrature(fs: FlowSetting,
+                             node_count: int = _DEFAULT_NODES) -> PhiBetaQuadrature:
+    """Build the quadrature evaluator for an admissible flow setting."""
+    coefficients = _member_coefficients(fs)
+    if coefficients is None:
         raise ValidationError("beta = 1 reduces to the heat-flow closed form")
     if node_count < 2:
         raise ValidationError(f"node_count must be >= 2, got {node_count}")
-    a = p * (beta - 1.0) / (2.0 * beta * (p - 2.0))
-    c = 2.0 * fs.gamma_beta / (beta * (beta - 1.0) * p)
     nodes, weights = _gauss_legendre_01(node_count)
-    return PhiBetaQuadrature(fs=fs, exponent_a=a, prefactor_c=c,
-                             node_count=node_count, nodes=nodes, weights=weights)
+    return PhiBetaQuadrature(fs, *coefficients, node_count, nodes, weights)
 
 
 def phi_beta(fs: FlowSetting, s: float, node_count: int = _DEFAULT_NODES) -> float:
@@ -261,13 +270,7 @@ def phi_beta(fs: FlowSetting, s: float, node_count: int = _DEFAULT_NODES) -> flo
     beta = 1 falls back to the heat-flow closed form, which is the beta -> 1
     limit of the integral.
     """
-    if not fs.admissible:
-        raise ValidationError(
-            f"beta = {fs.beta} is not admissible at (d, p) = ({fs.pp.d}, {fs.pp.p})"
-        )
-    if fs.pp.p <= 2.0:
-        raise ValidationError("the nonlinear-flow family requires p > 2")
-    if fs.beta == 1.0:
+    if _member_coefficients(fs) is None:
         return phi(fs.pp, s)
     return make_phi_beta_quadrature(fs, node_count).value(s)
 
@@ -305,35 +308,22 @@ def envelope_beta_samples(pp: ParameterPoint) -> list[float]:
     return sorted(set(values))
 
 
-@dataclass(frozen=True, eq=False)
-class _BetaTable:
-    """Per-point data of the envelope: one row per sampled beta != 1."""
-
-    exponent_a: np.ndarray
-    prefactor_c: np.ndarray
-    has_beta_one: bool
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
 @lru_cache(maxsize=64)
-def _beta_table(pp: ParameterPoint) -> _BetaTable:
+def _beta_table(pp: ParameterPoint) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(exponent_a, prefactor_c, has_beta_one): one a and c per sampled beta != 1."""
     exponent_a, prefactor_c, has_beta_one = [], [], False
     for beta in envelope_beta_samples(pp):
         if beta == 1.0:
             has_beta_one = True
             continue
         fs = make_flow_setting(pp, beta)
-        if not fs.admissible:
-            # roundoff at clipped component endpoints can push gamma(beta)
-            # a hair below zero; such beta contribute phi_beta ~ s anyway
-            continue
-        quad = make_phi_beta_quadrature(fs)
-        exponent_a.append(quad.exponent_a)
-        prefactor_c.append(quad.prefactor_c)
-    nodes, weights = _gauss_legendre_01(_DEFAULT_NODES)
-    return _BetaTable(exponent_a=np.array(exponent_a), prefactor_c=np.array(prefactor_c),
-                      has_beta_one=has_beta_one, nodes=nodes, weights=weights)
+        # roundoff at clipped component endpoints can push gamma(beta)
+        # a hair below zero; such beta contribute phi_beta ~ s anyway
+        if fs.admissible:
+            a, c = _member_coefficients(fs)
+            exponent_a.append(a)
+            prefactor_c.append(c)
+    return np.array(exponent_a), np.array(prefactor_c), has_beta_one
 
 
 def phi_envelope(pp: ParameterPoint, s):
@@ -351,14 +341,14 @@ def phi_envelope(pp: ParameterPoint, s):
         raise ValidationError(
             f"the envelope is defined for p < 2d/(d-2) = {pp.two_star}, got p = {p}"
         )
-    table = _beta_table(pp)
+    exponent_a, prefactor_c, has_beta_one = _beta_table(pp)
     scalar, s_arr = _entropy_array(p, s)
-    if table.exponent_a.size:
-        best = _member_values(p, table.exponent_a, table.prefactor_c, table.nodes,
-                              table.weights, s_arr).max(axis=0)
+    if exponent_a.size:
+        best = _member_values(p, exponent_a, prefactor_c, *_gauss_legendre_01(_DEFAULT_NODES),
+                              s_arr).max(axis=0)
     else:
         best = np.full(s_arr.shape, -np.inf)
-    if table.has_beta_one:
+    if has_beta_one:
         # _entropy_array checked s, and p > 2 is on the closed-form branch
         np.maximum(best, [_phi_closed(pp.gamma, p, float(si)) for si in s_arr], out=best)
     return float(best[0]) if scalar else best

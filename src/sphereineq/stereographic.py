@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,18 +122,12 @@ def equality_profile(d: int, node_count: int = 48) -> RadialEuclideanFunction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EuclideanNorms:
+class EuclideanNorms(NamedTuple):
     """The three flat-space integrals entering every weighted inequality."""
 
     weighted_p: float  # integral of |v|^p (1 + |x|^2)^(-delta(p)/2)
     weighted_2: float  # integral of |v|^2 (1 + |x|^2)^(-2)
     dirichlet: float  # integral of |grad v|^2
-
-    def __iter__(self):
-        yield self.weighted_p
-        yield self.weighted_2
-        yield self.dirichlet
 
 
 def euclidean_norms(v: RadialEuclideanFunction, p: float) -> EuclideanNorms:

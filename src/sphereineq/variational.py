@@ -548,6 +548,8 @@ def klt_validate(
         p = 2.0 * q / (q + 1.0)
     else:
         raise ValidationError(f"sign_mode must be minus_V or plus_V, got {sign_mode}")
+    if not math.isfinite(p):  # q is inf or nan, or so large that 2q overflows
+        raise ValidationError(f"exponent q must be finite, with a finite p, got q = {q}")
     pp = make_parameter_point(d, p)
     rule = make_rule(d, node_count)
     rng = np.random.default_rng(seed)

@@ -590,6 +590,13 @@ class TestKLT:
         manifest = load_json(tmp_path / "klt_d3_q1.6_minus_V_manifest.json")
         assert manifest["diagnostics"] == {"vacuous_count": {"minus_V": 49}}
 
+    @pytest.mark.parametrize("q", ["inf", "nan", "1e308"])
+    def test_non_finite_q_exits_2(self, q, tmp_path, capsys):
+        # 2q/(q - 1) is nan at inf and overflows to inf at 1e308
+        assert run_cli("klt", "--q", q, "--out-dir", str(tmp_path)) == 2
+        assert list(tmp_path.iterdir()) == []
+        assert "exponent q must be finite" in capsys.readouterr().err
+
     def test_violation_exits_3(self, tmp_path, monkeypatch):
         fake = KLTReport(
             d=3, q=3.0, p=3.0, sign_mode="minus_V", n_samples=1,
@@ -628,6 +635,15 @@ def test_file_tag_round_trips(x):
     # distinct values get distinct file names; the %g text stays where it is exact
     assert float(cli._tag(x).replace("m", "-")) == x
     assert [cli._tag(v) for v in (3.0, 5, 1.2, -0.5)] == ["3", "5", "1.2", "m0.5"]
+
+
+def test_jsonable_spells_out_only_non_finite_floats():
+    nested = ([{"nan": math.nan, "inf": math.inf, "-inf": -math.inf}],)
+    assert cli._jsonable(nested) == [[{"nan": "nan", "inf": "inf", "-inf": "-inf"}]]
+    assert cli._jsonable(np.float64("nan")) == "nan"
+    for value in (0.1, -2.5e-300, 0, 7, True, False, "x", None):
+        assert cli._jsonable(value) is value
+    assert cli._dump_json((1, 2.5, ("a", math.inf))) == cli._dump_json([1, 2.5, ["a", math.inf]])
 
 
 @pytest.mark.parametrize("command", list(SMALL_RUNS))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.special import eval_jacobi
 
@@ -343,6 +345,28 @@ class TestDeficits:
                     p,
                     res.deficit,
                 )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(1, 6),
+        frac=st.floats(0.0, 1.0),
+        degree=st.integers(1, 8),
+        scale=st.sampled_from([0.1, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gns_deficits_are_nonnegative(self, d, frac, degree, scale, seed):
+        # p in [1, 2*] ([1, 8] for d <= 2), away from p = 2, where the entropy
+        # (|u|_p^2 - |u|_2^2)/(p - 2) cancels to about 1e-4; at degree 1 and
+        # small scale u is close to an optimizer, with lhs/rhs near 1 + 1e-5
+        top = 8.0 if d <= 2 else 2.0 * d / (d - 2.0)
+        p = min(top, 1.0 + frac * (top - 1.0))
+        assume(abs(p - 2.0) >= 0.05)
+        pp = make_parameter_point(d, p)
+        rule, rng = make_rule(d, 48), np.random.default_rng(seed)
+        u = random_band_limited_exponential(rule, rng, degree=degree, scale=scale)
+        for id_ in ["gns", "improved_gns"] if p <= pp.two_sharp else ["gns"]:
+            res = deficit(u, id_, pp=pp)
+            assert res.deficit >= -DEFICIT_TOL * (1.0 + abs(res.lhs)), (id_, res.deficit)
 
     def test_improved_dominates_plain(self):
         rng = np.random.default_rng(77)

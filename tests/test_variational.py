@@ -556,6 +556,12 @@ class TestKLT:
         with pytest.raises(ValidationError):
             klt_validate(3, 3.0, potential_family="mystery")
 
+    @pytest.mark.parametrize("sign_mode", ["minus_V", "plus_V"])
+    @pytest.mark.parametrize("q", [math.inf, math.nan, 1e308])
+    def test_rejects_q_without_a_finite_p(self, q, sign_mode):
+        with pytest.raises(ValidationError, match="exponent q must be finite"):
+            klt_validate(3, q, sign_mode=sign_mode)
+
     @pytest.mark.parametrize("kwargs", [
         {"n_samples": 0}, {"n_samples": -1}, {"scale": -1.0}, {"scale": math.nan}, {"scale": math.inf},
         {"tolerance": -1.0}, {"tolerance": math.nan}, {"tolerance": math.inf},
