@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import ValidationError
+from .errors import ValidationError, check_real
 from .exponents import ParameterPoint, _is_log_branch
 
 __all__ = [
@@ -51,9 +51,7 @@ def mu_lower_thm2(pp: ParameterPoint, lam: float) -> float:
     equal to lam at lam = 1 and growing with the subunit power
     gamma / (gamma + p - 2) of lam.
     """
-    lam = float(lam)
-    if not math.isfinite(lam) or lam < 1.0:
-        raise ValidationError(f"lam must be finite and >= 1, got {lam}")
+    lam = check_real("lam", lam, 1.0)
     if not (2.0 < pp.p < pp.two_sharp):
         raise ValidationError(
             f"mu_lower_thm2 requires 2 < p < {pp.two_sharp}, got p = {pp.p}"
@@ -71,9 +69,7 @@ def lambda_lower_thm2(pp: ParameterPoint, mu: float) -> float:
     degenerate exponent where gamma = 2 - p the bound collapses to 1; the
     fast-diffusion regime p = 1 also yields the trivial value 1.
     """
-    mu = float(mu)
-    if not math.isfinite(mu) or mu < 1.0:
-        raise ValidationError(f"mu must be finite and >= 1, got {mu}")
+    mu = check_real("mu", mu, 1.0)
     if not (1.0 <= pp.p < 2.0):
         raise ValidationError(f"lambda_lower_thm2 requires 1 <= p < 2, got p = {pp.p}")
     q = 2.0 - pp.p
@@ -90,9 +86,7 @@ def mu_lower_prop34(pp: ParameterPoint, lam: float) -> float:
     1 - theta with theta = d (p - 2) / (2 p), which beats the heat-flow bound
     for large lam whenever p > 2#.
     """
-    lam = float(lam)
-    if not math.isfinite(lam) or lam < 1.0:
-        raise ValidationError(f"lam must be finite and >= 1, got {lam}")
+    lam = check_real("lam", lam, 1.0)
     if pp.d < 3:
         raise ValidationError(f"mu_lower_prop34 requires d >= 3, got d = {pp.d}")
     _require_subcritical_above_two(pp, "mu_lower_prop34")
@@ -159,9 +153,7 @@ def mu_lower_envelope(pp: ParameterPoint, lam: float) -> float:
     there, since phi_env increases, so min(scan minimum, Phi_end) bounds the
     whole range.
     """
-    lam = float(lam)
-    if not math.isfinite(lam) or lam < 1.0:
-        raise ValidationError(f"lam must be finite and >= 1, got {lam}")
+    lam = check_real("lam", lam, 1.0)
     _require_subcritical_above_two(pp, "mu_lower_envelope")
     p2 = pp.p - 2.0
     scan_min = -_envelope_scan_max(pp, lambda s, big_phi: -(big_phi + lam * (1.0 - p2 * s)))
@@ -179,9 +171,7 @@ def klt_lambda_bar_schrodinger(pp: ParameterPoint, mu: float) -> float:
     Above the level Phi_end of mu_lower_envelope the envelope bounds
     nothing and lambda_bar is inf.
     """
-    mu = float(mu)
-    if not math.isfinite(mu) or mu <= 0.0:
-        raise ValidationError(f"mu must be finite and positive, got {mu}")
+    mu = check_real("mu", mu, 0.0, strict=True)
     _require_subcritical_above_two(pp, "klt_lambda_bar_schrodinger")
     if mu <= 1.0:
         return mu
@@ -202,9 +192,7 @@ def klt_lambda_bar_reverse(pp: ParameterPoint, mu: float) -> float:
     with lambda_bar(mu) = mu for mu <= 1 and the p < 2 interpolation bound
     otherwise.  The degenerate exponent where gamma = 2 - p is excluded.
     """
-    mu = float(mu)
-    if not math.isfinite(mu) or mu <= 0.0:
-        raise ValidationError(f"mu must be finite and positive, got {mu}")
+    mu = check_real("mu", mu, 0.0, strict=True)
     if not (1.0 <= pp.p < 2.0):
         raise ValidationError(
             f"klt_lambda_bar_reverse requires 1 <= p < 2, got p = {pp.p}"
@@ -252,9 +240,10 @@ def afst_constants(pp: ParameterPoint, lambda_star: float | None = None) -> tupl
     Returns (gns_constant, log_lambda).  gns_constant multiplies the
     (p-norm)^2 - (2-norm)^2 gap for 2 < p < 2# when every degree-one moment
     of |u|^p vanishes and the quotient is localized above level lambda_star;
-    lambda_star = d gives back the plain constant d/(p-2).  log_lambda is the
-    improved constant for the p = 2 logarithmic entropy version,
-    axis_moment_log_constant(d).
+    lambda_star = d gives back the plain constant d/(p-2), and so, to about
+    1e-6 relative, does the default d (1 + 1e-6): the improvement needs an
+    explicit lambda_star above d.  log_lambda is the improved constant for
+    the p = 2 logarithmic entropy version, axis_moment_log_constant(d).
     """
     d = float(pp.d)
     if pp.d < 2:
@@ -265,11 +254,7 @@ def afst_constants(pp: ParameterPoint, lambda_star: float | None = None) -> tupl
         )
     if lambda_star is None:
         lambda_star = _default_lambda_star(pp.d)
-    lambda_star = float(lambda_star)
-    if not math.isfinite(lambda_star) or lambda_star < d:
-        raise ValidationError(
-            f"lambda_star must be finite and >= d = {pp.d}, got {lambda_star}"
-        )
+    lambda_star = check_real("lambda_star", lambda_star, d)
     p = pp.p
     gns_constant = (
         d + ((d - 1.0) ** 2 / (d * (d + 2.0))) * (pp.two_sharp - p) * (lambda_star - d)

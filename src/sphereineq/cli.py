@@ -34,7 +34,7 @@ from pathlib import Path
 
 from . import __version__
 from .bounds import afst_constants, antipodal_constant, c_dp
-from .errors import ConvergenceError, InvariantViolation, ValidationError
+from .errors import ConvergenceError, InvariantViolation, ValidationError, check_real
 from .exponents import beta_roots, m_range, make_flow_setting, make_parameter_point
 from .ioutils import atomic_write_text, fmt_float
 
@@ -191,12 +191,7 @@ def _figure1_grid(args) -> list[float]:
             lams = _midpoint_refine(lams)
     else:
         lams = _step_grid(0.25, 5.0, 0.25 * (0.5 if args.refine else 1.0))
-    if not lams:
-        raise ValidationError("the lambda grid is empty")
-    for lam in lams:
-        if not math.isfinite(lam) or lam <= 0.0:
-            raise ValidationError(f"lambda grid values must be finite and positive, got {lam}")
-    return lams
+    return lams  # bound_curve_sweep checks the values
 
 
 # figure1's output columns in order: name -> (its values in the sweep, or None
@@ -288,10 +283,8 @@ def _figure2_rows(d: int, p_grid: list[float]) -> str:
 
 def cmd_figure2(args) -> tuple[int, str, dict]:
     dims = list(dict.fromkeys(args.d))
-    if args.p_step <= 0.0 or not math.isfinite(args.p_step):
-        raise ValidationError(f"p step must be finite and positive, got {args.p_step}")
-    if not math.isfinite(args.p_min) or args.p_min < 1.0:
-        raise ValidationError(f"p grid must start at a finite value of 1 or above, got {args.p_min}")
+    check_real("--p-step", args.p_step, 0.0, strict=True)
+    check_real("--p-min", args.p_min, 1.0)
 
     # every grid is checked before any is built
     p_maxes = {}
@@ -300,9 +293,7 @@ def cmd_figure2(args) -> tuple[int, str, dict]:
         p_max = args.p_max
         if p_max is None:
             p_max = pp_probe.two_star if math.isfinite(pp_probe.two_star) else 18.0
-        if not math.isfinite(p_max):
-            raise ValidationError(f"p grid must end at a finite value, got {p_max}")
-        if p_max <= args.p_min:
+        if check_real("--p-max", p_max) <= args.p_min:
             raise ValidationError(f"empty p grid for d = {d}: [{args.p_min}, {p_max}]")
         make_parameter_point(d, p_max)  # rejects a p_max above the critical exponent
         # _step_grid makes round(span) + 1 points
@@ -617,8 +608,7 @@ def cmd_verify(args) -> tuple[int, str, dict]:
     pp = make_parameter_point(args.d, args.p)
     if args.n < 1:
         raise ValidationError(f"sample count must be at least 1, got {args.n}")
-    if not math.isfinite(args.tol) or args.tol < 0.0:
-        raise ValidationError(f"tolerance must be finite and nonnegative, got {args.tol}")
+    check_real("--tol", args.tol, 0.0)
     rule = make_rule(pp.d, args.n_nodes)
     rng = np.random.default_rng(args.seed)
 

@@ -43,7 +43,7 @@ import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ValidationError
+from .errors import ValidationError, check_real
 
 __all__ = [
     "ParameterPoint",
@@ -192,9 +192,7 @@ def make_parameter_point(d: int, p: float) -> ParameterPoint:
     2d/(d-2) are rejected since none of the inequalities reach past it.
     """
     d = validate_dimension(d)
-    p = float(p)
-    if not math.isfinite(p) or p < 1.0:
-        raise ValidationError(f"exponent p must be finite and >= 1, got {p}")
+    p = check_real("exponent p", p, 1.0)
 
     two_star = 2.0 * d / (d - 2.0) if d >= 3 else math.inf
     two_sharp = (2.0 * d * d + 1.0) / (d - 1.0) ** 2 if d >= 2 else math.inf
@@ -277,9 +275,7 @@ def make_flow_setting(pp: ParameterPoint, beta: float) -> FlowSetting:
     the certified entropy inequalities are then out of reach.
     """
     d, p = pp.d, pp.p
-    beta = float(beta)
-    if not math.isfinite(beta):
-        raise ValidationError(f"flow exponent beta must be finite, got {beta}")
+    beta = check_real("flow exponent beta", beta)
     if beta == 0.0:
         raise ValidationError("beta = 0 is not a valid flow exponent")
     if p == 2.0:

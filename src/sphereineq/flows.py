@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, check_real
 from .exponents import FlowSetting, ParameterPoint
 from .ioutils import atomic_write_text, fmt_float
 from .phi_functions import make_phi_beta_quadrature, phi
@@ -74,12 +74,8 @@ def make_flow_config(
     (the latter selects the heat flow, covering the p = 2 log case)."""
     if not isinstance(setting, (FlowSetting, ParameterPoint)):
         raise ValidationError("setting must be a FlowSetting or a ParameterPoint")
-    if not (math.isfinite(time_horizon) and time_horizon > 0.0):
-        raise ValidationError(f"time_horizon must be positive, got {time_horizon}")
-    if not (math.isfinite(positivity_floor) and positivity_floor > 0.0):
-        raise ValidationError(
-            f"positivity_floor must be positive, got {positivity_floor}"
-        )
+    time_horizon = check_real("time_horizon", time_horizon, 0.0, strict=True)
+    positivity_floor = check_real("positivity_floor", positivity_floor, 0.0, strict=True)
     if sample_count < 2:
         raise ValidationError(f"sample_count must be >= 2, got {sample_count}")
     if node_count < 4:
@@ -88,23 +84,19 @@ def make_flow_config(
         raise ValidationError(f"safety factor must be in (0, 1], got {safety}")
     if not (0.0 < initial_dt <= max_dt):
         raise ValidationError("need 0 < initial_dt <= max_dt")
-    if not (math.isfinite(rtol) and rtol > 0.0):
-        raise ValidationError(f"rtol must be finite and positive, got {rtol}")
-    if not (math.isfinite(atol) and atol >= 0.0):
-        raise ValidationError(f"atol must be finite and nonnegative, got {atol}")
     step_control = {
         "initial_dt": float(initial_dt),
         "safety": float(safety),
         "max_dt": float(max_dt),
-        "rtol": float(rtol),
-        "atol": float(atol),
+        "rtol": check_real("rtol", rtol, 0.0, strict=True),
+        "atol": check_real("atol", atol, 0.0),
     }
     return FlowConfig(
         setting=setting,
-        time_horizon=float(time_horizon),
+        time_horizon=time_horizon,
         step_control=step_control,
         node_count=int(node_count),
-        positivity_floor=float(positivity_floor),
+        positivity_floor=positivity_floor,
         sample_count=int(sample_count),
         antipodal=bool(antipodal),
     )
@@ -516,8 +508,8 @@ def certify_ode_chain(
     """
     for name, tol in (("mass_tol", mass_tol), ("rate_tol", rate_tol),
                       ("lyapunov_tol", lyapunov_tol), ("ode_tol", ode_tol)):
-        if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
-            raise ValidationError(f"{name} must be finite and nonnegative, got {tol}")
+        if tol is not None:
+            check_real(name, tol, 0.0)
     n = len(trace.times)
     if n < 64:
         raise ValidationError(f"trace too short for certification: {n} < 64 samples")

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvariantViolation, ValidationError
+from .errors import InvariantViolation, ValidationError, check_real
 from .exponents import FlowSetting, ParameterPoint, _is_log_branch, beta_roots, make_flow_setting
 
 __all__ = [
@@ -60,9 +60,7 @@ def _s_sup(p: float) -> float:
 
 
 def _check_s(p: float, s: float) -> float:
-    s = float(s)
-    if not math.isfinite(s) or s < 0.0:
-        raise ValidationError(f"entropy argument must be finite and >= 0, got {s}")
+    s = check_real("entropy argument", s, 0.0)
     if p > 2.0 and s >= _s_sup(p):
         raise ValidationError(
             f"entropy argument {s} is outside [0, 1/(p-2)) = [0, {_s_sup(p)}) for p = {p}"

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _scipy_kernels
 from .bounds import _default_lambda_star, afst_constants, antipodal_constant
-from .errors import ValidationError
+from .errors import ValidationError, check_real
 from .exponents import ParameterPoint, _lgamma, validate_dimension
 from .phi_functions import PhiSpec, phi
 
@@ -196,9 +196,7 @@ class AxiFunction:
 
 def lp_norm(u: AxiFunction, q: float) -> float:
     """L^q norm of u under the uniform probability measure."""
-    q = float(q)
-    if not math.isfinite(q) or q < 1.0:
-        raise ValidationError(f"norm exponent q must be finite and >= 1, got {q}")
+    q = check_real("norm exponent q", q, 1.0)
     return float(u.rule.integrate(np.abs(u.values) ** q) ** (1.0 / q))
 
 
@@ -239,9 +237,7 @@ def entropy_fisher(u: AxiFunction, p: float) -> tuple[float, float]:
     limit e = (1/2) integral of u^2 log(u^2/|u|_2^2) is used.  i is the
     squared gradient norm in both cases.
     """
-    p = float(p)
-    if not math.isfinite(p) or p < 1.0:
-        raise ValidationError(f"exponent p must be finite and >= 1, got {p}")
+    p = check_real("exponent p", p, 1.0)
     i = dirichlet(u)
     return _norm_and_entropy(u, p)[1], i
 
@@ -286,6 +282,9 @@ def _require_pp(pp: ParameterPoint | None, d: int, what: str) -> ParameterPoint:
     return pp
 
 
+_SPHERE_IDS = ("gns", "log_sobolev", "improved_gns", "improved_phi", "afst", "antipodal")
+
+
 def deficit(
     u: AxiFunction,
     inequality_id: str,
@@ -302,68 +301,57 @@ def deficit(
         closed-form improvement function (log and p = 2 branches included).
       - "improved_phi": like improved_gns with a caller-supplied PhiSpec.
       - "afst": sharper constant under the vanishing first moment of |u|^p;
-        lambda_star tunes the spectral level (default just above d).
+        lambda_star tunes the spectral level.  At the default level
+        d (1 + 1e-6) the constant equals d/(p-2) to about 1e-6 relative, so
+        the improvement needs an explicit lambda_star above d.
       - "antipodal": sharper constant for even functions, d >= 3.
+    Every form but log_sobolev (where pp is optional) needs pp, and every
+    form needs a nonzero u.
     """
-    d = float(u.rule.d)
-    # the energy and |u|_p are computed once per call, not again per branch
-    i = dirichlet(u)
-    if inequality_id == "gns":
-        pp = _require_pp(pp, u.rule.d, "gns")
-        if pp.p == 2.0:
-            raise ValidationError("gns requires p != 2; use log_sobolev at p = 2")
-        _, e = _norm_and_entropy(u, pp.p)
-        rhs = d * e
-        inputs = {"d": pp.d, "p": pp.p}
-    elif inequality_id == "log_sobolev":
-        if pp is not None:
-            _require_pp(pp, u.rule.d, "log_sobolev")
-            if pp.p != 2.0:
-                raise ValidationError("log_sobolev requires p = 2")
-        rhs = 0.5 * d * _log_entropy(u.values, u.rule)
-        inputs = {"d": u.rule.d, "p": 2.0}
-    elif inequality_id == "improved_gns":
-        pp = _require_pp(pp, u.rule.d, "improved_gns")
-        if pp.p > pp.two_sharp:
-            raise ValidationError(
-                f"improved_gns requires p <= {pp.two_sharp}, got p = {pp.p}"
-            )
-        npow, e = _norm_and_entropy(u, pp.p)
-        rhs = d * npow * phi(pp, e / npow)
-        inputs = {"d": pp.d, "p": pp.p}
-    elif inequality_id == "improved_phi":
+    if inequality_id not in _SPHERE_IDS:
+        raise ValidationError(
+            f"unknown inequality_id {inequality_id!r}; choose from {', '.join(_SPHERE_IDS)}"
+        )
+    if inequality_id == "improved_phi":
         if phi_spec is None:
             raise ValidationError("improved_phi needs a phi_spec")
         pp = phi_spec.pp if pp is None else pp
         if pp != phi_spec.pp:
             raise ValidationError("phi_spec parameter point disagrees with pp")
-        _require_pp(pp, u.rule.d, "improved_phi")
-        npow, e = _norm_and_entropy(u, pp.p)
-        rhs = d * npow * phi_spec.value(e / npow)
-        inputs = {"d": pp.d, "p": pp.p, "variant": phi_spec.variant}
-    elif inequality_id == "afst":
-        pp = _require_pp(pp, u.rule.d, "afst")
-        _check_moment_free(u, pp.p)
+    p = 2.0
+    if pp is not None or inequality_id != "log_sobolev":
+        pp = _require_pp(pp, u.rule.d, inequality_id)
+        p = pp.p
+    if inequality_id == "gns" and p == 2.0:
+        raise ValidationError("gns requires p != 2; use log_sobolev at p = 2")
+    if inequality_id == "log_sobolev" and p != 2.0:
+        raise ValidationError("log_sobolev requires p = 2")
+    if inequality_id == "improved_gns" and p > pp.two_sharp:
+        raise ValidationError(f"improved_gns requires p <= {pp.two_sharp}, got p = {p}")
+    if inequality_id == "afst":
+        _check_moment_free(u, p)
         constant, _ = afst_constants(pp, lambda_star)
-        _, e = _norm_and_entropy(u, pp.p)
-        rhs = constant * (pp.p - 2.0) * e
-        level = _default_lambda_star(pp.d) if lambda_star is None else lambda_star
-        inputs = {"d": pp.d, "p": pp.p, "lambda_star": level}
     elif inequality_id == "antipodal":
-        pp = _require_pp(pp, u.rule.d, "antipodal")
         _check_even(u.values)
         constant = antipodal_constant(pp)
-        if pp.p == 2.0:
-            rhs = constant * _log_entropy(u.values, u.rule)
-        else:
-            _, e = _norm_and_entropy(u, pp.p)
-            rhs = constant * (pp.p - 2.0) * e
-        inputs = {"d": pp.d, "p": pp.p}
-    else:
-        raise ValidationError(
-            f"unknown inequality_id {inequality_id!r}; choose from "
-            "gns, log_sobolev, improved_gns, improved_phi, afst, antipodal"
-        )
+    d = float(u.rule.d)
+    i = dirichlet(u)
+    npow, e = _norm_and_entropy(u, p)  # at p = 2, e is half the log entropy
+    if npow <= 0.0:
+        raise ValidationError(f"{inequality_id} needs a nonzero function")
+    inputs = {"d": u.rule.d, "p": p}
+    if inequality_id in ("gns", "log_sobolev"):
+        rhs = d * e
+    elif inequality_id == "improved_gns":
+        rhs = d * npow * phi(pp, e / npow)
+    elif inequality_id == "improved_phi":
+        rhs = d * npow * phi_spec.value(e / npow)
+        inputs["variant"] = phi_spec.variant
+    elif inequality_id == "afst":
+        rhs = constant * (p - 2.0) * e
+        inputs["lambda_star"] = _default_lambda_star(pp.d) if lambda_star is None else lambda_star
+    else:  # at p = 2 the antipodal constant multiplies the log entropy, 2 e
+        rhs = constant * (p - 2.0 if p != 2.0 else 2.0) * e
     return Deficit(
         lhs=float(i),
         rhs=float(rhs),
@@ -394,9 +382,7 @@ def c_q(q: float) -> float:
       on t >= 2, s = t - 1, ((1+s)^q - 1 - qs)/s^q has d/ds of the sign of 1 + (q-1)s - (1+s)^(q-1).
     Memoized: ckp_distance asks for the same constant on every call.
     """
-    q = float(q)
-    if not math.isfinite(q) or q <= 1.0:
-        raise ValidationError(f"c_q requires q > 1, got {q}")
+    q = check_real("c_q exponent q", q, 1.0, strict=True)
     # float64 array power, as the scan this replaced took t ** q: scalar power differs in the last bit
     return min(float((np.array([2.0]) ** q - 1.0 - q)[0]), 1.0)
 
@@ -409,12 +395,12 @@ def ckp_distance(u: AxiFunction, p: float) -> tuple[float, float]:
     |u|_p; for p > 2 the gap is |u|_p^2 - |u|_2^2 and the bound uses the
     kernel nu_{p/2} around |u|_2.  Returns (lower_bound, entropy_gap).
     """
-    p = float(p)
-    if not math.isfinite(p) or p < 1.0:
-        raise ValidationError(f"exponent p must be finite and >= 1, got {p}")
+    p = check_real("exponent p", p, 1.0)
     if p == 2.0:
         raise ValidationError("ckp_distance is not defined at p = 2")
     n22 = lp_norm(u, 2.0) ** 2
+    if n22 <= 0.0:
+        raise ValidationError("distance bound needs a nonzero function")
     np2 = lp_norm(u, p) ** 2
     if p < 2.0:
         ubar_p = np2 ** (p / 2.0)
@@ -429,8 +415,6 @@ def ckp_distance(u: AxiFunction, p: float) -> tuple[float, float]:
         )
         gap = n22 - np2
     else:
-        if n22 <= 0.0:
-            raise ValidationError("distance bound needs a nonzero function")
         s = u.values**2 / n22 - 1.0
         integral = u.rule.integrate(_nu(s, 0.5 * p))
         lower = n22 * ((1.0 + c_q(0.5 * p) * integral) ** (2.0 / p) - 1.0)

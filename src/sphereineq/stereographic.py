@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _scipy_kernels
 from .bounds import _default_lambda_star, afst_constants, axis_moment_log_constant, c_dp
-from .errors import ValidationError
+from .errors import ValidationError, check_real
 from .exponents import ParameterPoint, _is_log_branch, sphere_surface
 from .sphere_calculus import (
     AxiFunction,
@@ -139,9 +139,7 @@ def euclidean_norms(v: RadialEuclideanFunction, p: float) -> EuclideanNorms:
     sphere mean of u^2, and the Dirichlet energy is |S^d| times the sphere
     gradient term plus d (d - 2)/4 times the sphere mean of u^2.
     """
-    p = float(p)
-    if not math.isfinite(p) or p < 1.0:
-        raise ValidationError(f"exponent p must be finite and >= 1, got {p}")
+    p = check_real("exponent p", p, 1.0)
     u = v.sphere
     d = float(u.rule.d)
     surface = sphere_surface(u.rule.d)
@@ -216,6 +214,11 @@ def _check_matched_moment(v: RadialEuclideanFunction) -> tuple[float, float]:
     return moment, target
 
 
+_FLAT_IDS = (
+    "weighted_gns", "stability", "sharper_stability", "moment_constrained", "moment_constrained_log"
+)
+
+
 def euclidean_deficit(
     v: RadialEuclideanFunction,
     inequality_id: str,
@@ -239,147 +242,81 @@ def euclidean_deficit(
       - "moment_constrained": improved multiple of the interpolation gap when
         the paired sphere function has vanishing axis moment of |u|^p and the
         |x|^2-weighted mass matches the equality profile; lambda_star sets
-        the spectral level (>= d, default just above d).
+        the spectral level (>= d, default d (1 + 1e-6), where the constant
+        equals d/(p-2) to about 1e-6 relative).
       - "moment_constrained_log": logarithmic version of the same under the
         p = 2 moment conditions; log_constant overrides the explicit level.
+    Every form but moment_constrained_log (where pp is optional) needs pp,
+    and every form needs a nonzero v.
     """
-    if inequality_id == "weighted_gns":
-        pp = _require_pp(pp, v.d, "weighted_gns")
-        if pp.p == 2.0:
-            raise ValidationError(
-                "weighted_gns requires p != 2; use moment_constrained_log or "
-                "the sphere-side log form at p = 2"
-            )
-        weighted_p, weighted_2, diri = euclidean_norms(v, pp.p)
-        if weighted_p <= 0.0:
-            raise ValidationError("weighted_gns needs a nonzero profile")
-        d = float(pp.d)
-        pterm = weighted_p ** (2.0 / pp.p)
-        lhs = diri + d * pp.delta / (pp.p - 2.0) * weighted_2
-        rhs = c_dp(pp) * pterm
-        inputs = {"d": pp.d, "p": pp.p}
-    elif inequality_id == "stability":
-        pp = _require_pp(pp, v.d, "stability")
-        if not (2.0 < pp.p < pp.two_sharp):
-            raise ValidationError(
-                f"stability requires 2 < p < {pp.two_sharp}, got p = {pp.p}"
-            )
-        weighted_p, weighted_2, diri = euclidean_norms(v, pp.p)
-        if weighted_p <= 0.0:
-            raise ValidationError("stability needs a nonzero profile")
-        d = float(pp.d)
-        surface = pp.sphere_volume
-        pterm = weighted_p ** (2.0 / pp.p)
-        gap = pterm - 2.0 ** (2.0 - pp.delta / pp.p) * surface ** (
-            2.0 / pp.p - 1.0
-        ) * weighted_2
-        lhs = diri + d * pp.delta / (pp.p - 2.0) * weighted_2
-        rhs = (pp.gamma / (pp.p - 2.0)) * 0.5 * c_dp(pp) * gap * gap / pterm
-        inputs = {"d": pp.d, "p": pp.p, "gamma": pp.gamma}
-    elif inequality_id == "sharper_stability":
-        pp = _require_pp(pp, v.d, "sharper_stability")
-        if not pp.in_bakry_emery_range:
-            raise ValidationError(
-                "sharper_stability requires p != 2 with p <= "
-                f"{pp.two_sharp}, got p = {pp.p}"
-            )
-        weighted_p, weighted_2, diri = euclidean_norms(v, pp.p)
-        if weighted_p <= 0.0 or weighted_2 <= 0.0:
-            raise ValidationError("sharper_stability needs a nonzero profile")
-        d = float(pp.d)
-        lhs = diri - d * (d - 2.0) * weighted_2
-        pterm = weighted_p ** (2.0 / pp.p)
-        if _is_log_branch(pp):
-            rhs = (
-                4.0
-                * d
-                / (2.0 - pp.p)
-                * weighted_2
-                * math.log(weighted_2 / (pp.kappa_p * pterm))
-            )
-        else:
-            theta = pp.gamma / (2.0 - pp.p)
-            rhs = (
-                4.0
-                * d
-                / (2.0 - pp.p - pp.gamma)
-                * (
-                    weighted_2
-                    - pp.kappa_p ** (1.0 - theta)
-                    * pterm ** (1.0 - theta)
-                    * weighted_2**theta
-                )
-            )
-        inputs = {"d": pp.d, "p": pp.p, "gamma": pp.gamma, "kappa_p": pp.kappa_p}
-    elif inequality_id == "moment_constrained":
-        pp = _require_pp(pp, v.d, "moment_constrained")
-        if pp.d < 3:
-            raise ValidationError(
-                "moment_constrained needs d >= 3: the matching moment "
-                "diverges on the equality profile at d = 2"
-            )
-        _check_moment_free(v.sphere, pp.p)
-        moment, target = _check_matched_moment(v)
-        constant, _ = afst_constants(pp, lambda_star)
-        weighted_p, weighted_2, diri = euclidean_norms(v, pp.p)
-        if weighted_p <= 0.0:
-            raise ValidationError("moment_constrained needs a nonzero profile")
-        d = float(pp.d)
-        surface = pp.sphere_volume
-        pterm = weighted_p ** (2.0 / pp.p)
-        gap = (
-            2.0 ** (pp.delta / pp.p) * surface ** (1.0 - 2.0 / pp.p) * pterm
-            - 4.0 * weighted_2
+    if inequality_id not in _FLAT_IDS:
+        raise ValidationError(
+            f"unknown inequality_id {inequality_id!r}; choose from {', '.join(_FLAT_IDS)}"
         )
-        lhs = (
-            diri
-            + d * pp.delta / (pp.p - 2.0) * weighted_2
-            - c_dp(pp) * pterm
+    log_form = inequality_id == "moment_constrained_log"
+    p = 2.0
+    if pp is not None or not log_form:
+        pp = _require_pp(pp, v.d, inequality_id)
+        p = pp.p
+    if inequality_id == "weighted_gns" and p == 2.0:
+        raise ValidationError(
+            "weighted_gns requires p != 2; use moment_constrained_log or "
+            "the sphere-side log form at p = 2"
         )
-        rhs = (constant - d / (pp.p - 2.0)) * gap
-        inputs = {
-            "d": pp.d,
-            "p": pp.p,
-            "lambda_star": _default_lambda_star(pp.d) if lambda_star is None else lambda_star,
-            "moment": moment,
-            "moment_target": target,
-        }
-    elif inequality_id == "moment_constrained_log":
-        if pp is not None:
-            _require_pp(pp, v.d, "moment_constrained_log")
-            if pp.p != 2.0:
-                raise ValidationError("moment_constrained_log requires p = 2")
-        d = float(v.d)
+    if inequality_id == "stability" and not 2.0 < p < pp.two_sharp:
+        raise ValidationError(f"stability requires 2 < p < {pp.two_sharp}, got p = {p}")
+    if inequality_id == "sharper_stability" and not pp.in_bakry_emery_range:
+        raise ValidationError(
+            f"sharper_stability requires p != 2 with p <= {pp.two_sharp}, got p = {p}"
+        )
+    if log_form and p != 2.0:
+        raise ValidationError("moment_constrained_log requires p = 2")
+    d = float(v.d)
+    inputs = {"d": v.d, "p": p}
+    if inequality_id.startswith("moment_constrained"):
         if v.d < 3:
             raise ValidationError(
-                "moment_constrained_log needs d >= 3: the matching moment "
+                f"{inequality_id} needs d >= 3: the matching moment "
                 "diverges on the equality profile at d = 2"
             )
-        _check_moment_free(v.sphere, 2.0)
+        _check_moment_free(v.sphere, p)
         moment, target = _check_matched_moment(v)
-        level = axis_moment_log_constant(v.d) if log_constant is None else float(log_constant)
-        if not math.isfinite(level) or level <= 0.0:
-            raise ValidationError(f"log_constant must be finite and > 0, got {level}")
-        weighted_p, weighted_2, diri = euclidean_norms(v, 2.0)
-        if weighted_2 <= 0.0:
-            raise ValidationError("moment_constrained_log needs a nonzero profile")
-        surface = sphere_surface(v.d)
-        log_ent = _log_entropy(v.sphere.values, v.sphere.rule)
-        lhs = diri
-        rhs = d * (d - 2.0) * weighted_2 + 0.5 * level * surface * log_ent
-        inputs = {
-            "d": v.d,
-            "p": 2.0,
-            "log_constant": level,
-            "moment": moment,
-            "moment_target": target,
-        }
+        if log_form:
+            level = axis_moment_log_constant(v.d) if log_constant is None else log_constant
+            inputs["log_constant"] = level = check_real("log_constant", level, 0.0, strict=True)
+        else:
+            constant, _ = afst_constants(pp, lambda_star)
+            level = _default_lambda_star(pp.d) if lambda_star is None else lambda_star
+            inputs["lambda_star"] = level
+        inputs.update(moment=moment, moment_target=target)
+    weighted_p, weighted_2, diri = euclidean_norms(v, p)
+    if weighted_p <= 0.0 or weighted_2 <= 0.0:
+        raise ValidationError(f"{inequality_id} needs a nonzero profile")
+    pterm = weighted_p ** (2.0 / p)
+    # the weighted lhs of every p != 2 form but sharper_stability
+    lhs = diri if p == 2.0 else diri + d * pp.delta / (p - 2.0) * weighted_2
+    if inequality_id == "weighted_gns":
+        rhs = c_dp(pp) * pterm
+    elif inequality_id == "stability":
+        gap = pterm - 2.0 ** (2.0 - pp.delta / p) * pp.sphere_volume ** (2.0 / p - 1.0) * weighted_2
+        rhs = (pp.gamma / (p - 2.0)) * 0.5 * c_dp(pp) * gap * gap / pterm
+        inputs["gamma"] = pp.gamma
+    elif inequality_id == "sharper_stability":
+        lhs = diri - d * (d - 2.0) * weighted_2
+        if _is_log_branch(pp):
+            rhs = 4.0 * d / (2.0 - p) * weighted_2 * math.log(weighted_2 / (pp.kappa_p * pterm))
+        else:
+            theta = pp.gamma / (2.0 - p)
+            power = pp.kappa_p ** (1.0 - theta) * pterm ** (1.0 - theta) * weighted_2**theta
+            rhs = 4.0 * d / (2.0 - p - pp.gamma) * (weighted_2 - power)
+        inputs.update(gamma=pp.gamma, kappa_p=pp.kappa_p)
+    elif not log_form:
+        gap = 2.0 ** (pp.delta / p) * pp.sphere_volume ** (1.0 - 2.0 / p) * pterm - 4.0 * weighted_2
+        lhs -= c_dp(pp) * pterm
+        rhs = (constant - d / (p - 2.0)) * gap
     else:
-        raise ValidationError(
-            f"unknown inequality_id {inequality_id!r}; choose from "
-            "weighted_gns, stability, sharper_stability, moment_constrained, "
-            "moment_constrained_log"
-        )
+        log_ent = _log_entropy(v.sphere.values, v.sphere.rule)
+        rhs = d * (d - 2.0) * weighted_2 + 0.5 * level * sphere_surface(v.d) * log_ent
     return Deficit(
         lhs=float(lhs),
         rhs=float(rhs),

@@ -25,7 +25,7 @@ from .bounds import (
     mu_lower_prop34,
     mu_lower_thm2,
 )
-from .errors import ValidationError
+from .errors import ValidationError, check_real
 from .exponents import ParameterPoint, make_parameter_point
 from .sphere_calculus import (
     AxiFunction,
@@ -321,6 +321,8 @@ def _solve(pp: ParameterPoint, values, seeds, node_count, restarts, max_iters):
         raise ValidationError(f"node_count must be >= 8, got {node_count}")
     if restarts < 0:
         raise ValidationError("restarts must be >= 0")
+    if max_iters < 1:
+        raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
     n = int(node_count)
     # built ahead of the pool, so that forked workers inherit the rules
     models = [_QuotientModel(pp, value, n) for value in values]
@@ -391,10 +393,8 @@ def best_constant(
     """
     if pp.p == 2.0:
         raise ValidationError("quotient minimization needs p != 2")
-    name = "lam" if pp.p > 2.0 else "mu"
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValidationError(f"{name} must be positive, got {value}")
-    results, _ = _solve(pp, [float(value)], [seed], node_count, restarts, max_iters)
+    value = check_real("lam" if pp.p > 2.0 else "mu", value, 0.0, strict=True)
+    results, _ = _solve(pp, [value], [seed], node_count, restarts, max_iters)
     return results[0]
 
 
@@ -437,9 +437,9 @@ def bound_curve_sweep(
     alongside the explicit bounds."""
     if pp.p <= 2.0:
         raise ValidationError("the sweep covers the p > 2 constant mu(lambda)")
-    lams = [float(x) for x in lam_grid]
-    if not lams or any(not (math.isfinite(x) and x > 0.0) for x in lams):
-        raise ValidationError("grid values must be positive and finite")
+    lams = [check_real("lambda grid value", x, 0.0, strict=True) for x in lam_grid]
+    if not lams:
+        raise ValidationError("the lambda grid is empty")
     seeds = [seed + k for k in range(len(lams))]
     results, workers = _solve(pp, lams, seeds, node_count, restarts, max_iters)
     heat_range = 2.0 < pp.p < pp.two_sharp
@@ -532,10 +532,8 @@ def klt_validate(
     """
     if n_samples < 1:
         raise ValidationError(f"sample count must be at least 1, got {n_samples}")
-    if not math.isfinite(scale) or scale < 0.0:
-        raise ValidationError(f"potential scale must be finite and nonnegative, got {scale}")
-    if not math.isfinite(tolerance) or tolerance < 0.0:
-        raise ValidationError(f"tolerance must be finite and nonnegative, got {tolerance}")
+    check_real("potential scale", scale, 0.0)
+    check_real("tolerance", tolerance, 0.0)
     if sign_mode == "minus_V":
         if q <= max(1.0, d / 2.0):
             raise ValidationError(

@@ -717,9 +717,11 @@ class TestMainContract:
         assert (override / "constants_d2_p3.json").exists()
 
     def test_module_entry_point(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         result = subprocess.run(
             [sys.executable, "-m", "sphereineq.cli", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert result.returncode == 0
         assert __version__ in result.stdout

@@ -471,6 +471,18 @@ class TestDeficits:
             deficit(AxiFunction(make_rule(2, 16), values=np.ones(16)), "antipodal",
                     pp=make_parameter_point(2, 3.0))
 
+    @pytest.mark.parametrize("inequality_id", [
+        "gns", "log_sobolev", "improved_gns", "improved_phi", "afst", "antipodal",
+    ])
+    def test_zero_function_rejected(self, inequality_id):
+        zero = AxiFunction(make_rule(3, 24), values=np.zeros(24))
+        pp = make_parameter_point(3, 3.0)
+        if inequality_id == "log_sobolev":
+            pp = make_parameter_point(3, 2.0)
+        spec = make_phi_spec(pp, make_flow_setting(pp, 1.2)) if inequality_id == "improved_phi" else None
+        with pytest.raises(ValidationError, match="needs a nonzero function"):
+            deficit(zero, inequality_id, pp, phi_spec=spec)
+
 
 class TestDistanceBound:
     def test_constant_gives_zero(self):
@@ -505,6 +517,12 @@ class TestDistanceBound:
         u = AxiFunction(rule, values=np.ones(16))
         with pytest.raises(ValidationError):
             ckp_distance(u, 2.0)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    def test_zero_function_rejected(self, p):
+        zero = AxiFunction(make_rule(3, 24), values=np.zeros(24))
+        with pytest.raises(ValidationError, match="needs a nonzero function"):
+            ckp_distance(zero, p)
 
 
 def ckp_quotient(t, q):

@@ -50,12 +50,19 @@ class TestProblemValidation:
     @pytest.mark.parametrize("pp,name", [(D3P3, "lam"), (D3P15, "mu")])
     def test_invalid_arguments_rejected(self, pp, name):
         for value in (-2.0, 0.0, math.nan, math.inf):
-            with pytest.raises(ValidationError, match=f"{name} must be positive"):
+            with pytest.raises(ValidationError, match=f"{name} must be finite and positive"):
                 best_constant(pp, value)
         with pytest.raises(ValidationError, match="node_count"):
             best_constant(pp, 1.0, node_count=4)
         with pytest.raises(ValidationError, match="restarts"):
             best_constant(pp, 1.0, restarts=-1)
+
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_nonpositive_max_iters_rejected(self, max_iters):
+        with pytest.raises(ValidationError, match="max_iters"):
+            best_constant(D3P3, 2.0, node_count=8, restarts=0, max_iters=max_iters)
+        with pytest.raises(ValidationError, match="max_iters"):
+            bound_curve_sweep(D3P3, [2.0], node_count=8, restarts=0, max_iters=max_iters)
 
 
 class TestGradient:
