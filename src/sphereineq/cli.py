@@ -12,10 +12,11 @@ klt         randomized Schrodinger spectral-bound battery
 Every run writes its data files and one JSON manifest recording the command,
 parameters, seed, tool version, tolerances, output paths, wall-clock time,
 and solver diagnostics where the command has them.  Each cmd_* function
-writes only its data files; main runs it through _run, which times it and
-writes the manifest.  Data outputs are byte-deterministic for a fixed
-command line and seed, so reruns can be compared with a plain byte diff; the
-manifest repeats the inputs so any run can be reproduced from it alone.
+writes nothing and returns its data files as text; main runs it through
+_run, the one writer, which times it and writes the data files and the
+manifest.  Data outputs are byte-deterministic for a fixed command line and
+seed, so reruns can be compared with a plain byte diff; the manifest repeats
+the inputs so any run can be reproduced from it alone.
 
 Exit codes: 0 success, 2 invalid parameters or usage, 3 a certified
 invariant failed, 4 an iterative solver did not converge.
@@ -66,13 +67,6 @@ def _jsonable(x):
 
 def _dump_json(obj) -> str:
     return json.dumps(_jsonable(obj), indent=2, allow_nan=False) + "\n"
-
-
-def _resolve_out_dir(args) -> Path:
-    raw = getattr(args, "out_dir", None) or os.environ.get(OUT_DIR_ENV) or "."
-    out = Path(raw)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _step_grid(lo: float, hi: float, step: float) -> list[float]:
@@ -163,11 +157,9 @@ def cmd_constants(args) -> tuple[int, str, dict]:
     stem = f"constants_d{args.d}_p{_tag(args.p)}"
     if args.beta is not None:
         stem += f"_b{_tag(args.beta)}"
-    report_path = args.out_dir / f"{stem}.json"
-    atomic_write_text(report_path, _dump_json(table))
     return 0, stem, {
         "parameters": {"d": args.d, "p": args.p, "beta": args.beta},
-        "outputs": [str(report_path)],
+        "files": {f"{stem}.json": _dump_json(table)},
     }
 
 
@@ -226,14 +218,12 @@ def cmd_figure1(args) -> tuple[int, str, dict]:
             descriptions[name] = description
 
     stem = f"figure1_d{args.d}_p{_tag(args.p)}"
-    data_path = args.out_dir / f"{stem}.{args.format}"
     if args.format == "json":
         text = _dump_json({"d": pp.d, "p": pp.p, **columns})
     else:
         rows = [",".join(columns)]
         rows += [",".join(fmt_float(x) for x in row) for row in zip(*columns.values())]
         text = "\n".join(rows) + "\n"
-    atomic_write_text(data_path, text)
 
     n_failed = sum(1 for c in curve.converged if not c)
     if n_failed:
@@ -249,8 +239,7 @@ def cmd_figure1(args) -> tuple[int, str, dict]:
             "format": args.format,
             "columns": descriptions,
         },
-        "seed": args.seed,
-        "outputs": [str(data_path)],
+        "files": {f"{stem}.{args.format}": text},
         "diagnostics": {
             "lambda": list(curve.lams),
             "iterations": list(curve.iterations),
@@ -304,20 +293,18 @@ def cmd_figure2(args) -> tuple[int, str, dict]:
             )
         p_maxes[d] = p_max
 
-    outputs: list[str] = []
-    grids: dict = {}
+    files, grids = {}, {}
     for d, p_max in p_maxes.items():
         p_grid = _step_grid(args.p_min, p_max, args.p_step)
         # rounding to 12 decimals can lift the last point above a p_max at the
         # critical exponent (d = 8: 2.666666666667), which p may not exceed
         p_grid[-1] = min(p_grid[-1], p_max)
-        path = args.out_dir / f"figure2_d{d}.csv"
-        atomic_write_text(path, _figure2_rows(d, p_grid))
-        outputs.append(str(path))
+        files[f"figure2_d{d}.csv"] = _figure2_rows(d, p_grid)
         grids[str(d)] = {
             "p_min": args.p_min, "p_max": float(p_max), "p_step": args.p_step, "count": len(p_grid),
         }
-    return 0, "figure2", {"parameters": {"d": dims, "grids": grids, "format": "csv"}, "outputs": outputs}
+    parameters = {"d": dims, "grids": grids, "format": "csv"}
+    return 0, "figure2", {"parameters": parameters, "files": files}
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +406,8 @@ def _initial_function(spec, rule):
 
 
 def cmd_flow(args) -> tuple[int, str, dict]:
-    from .flows import certify_ode_chain, make_flow_config, run_heat_flow, run_nonlinear_flow, write_trace
+    from .flows import certify_ode_chain, make_flow_config, run_heat_flow, run_nonlinear_flow
+    from .flows import trace_to_csv
     from .sphere_calculus import make_rule
 
     spec = _load_flow_spec(args.config)
@@ -447,16 +435,11 @@ def cmd_flow(args) -> tuple[int, str, dict]:
     trace = runner(u0, cfg)
     report = certify_ode_chain(trace, pp, ode_tol=args.tol)
 
-    trace_path = args.out_dir / f"{stem}_trace.csv"
-    write_trace(trace, trace_path)
-    report_path = args.out_dir / f"{stem}_report.json"
     payload = {
         "config": spec,
         "stats": dict(trace.stats),
         "certification": dataclasses.asdict(report),
     }
-    atomic_write_text(report_path, _dump_json(payload))
-
     status = "certified" if report.passed else "FAILED"
     print(
         f"{mode} flow at (d, p) = ({pp.d}, {pp.p}): {len(trace.times)} samples, "
@@ -465,7 +448,10 @@ def cmd_flow(args) -> tuple[int, str, dict]:
     return 0 if report.passed else 3, stem, {
         "parameters": {"config_path": str(args.config), "config": spec},
         "tolerances": dict(report.tolerances),
-        "outputs": [str(trace_path), str(report_path)],
+        "files": {
+            f"{stem}_trace.csv": trace_to_csv(trace),
+            f"{stem}_report.json": _dump_json(payload),
+        },
         "diagnostics": dict(trace.solver),
     }
 
@@ -640,8 +626,6 @@ def cmd_verify(args) -> tuple[int, str, dict]:
         "passed": passed,
     }
     stem = f"verify_{args.suite}_d{pp.d}_p{_tag(pp.p)}"
-    report_path = args.out_dir / f"{stem}.json"
-    atomic_write_text(report_path, _dump_json(report))
 
     for check in checks:
         flag = "PASS" if check["passed"] else "FAIL"
@@ -653,9 +637,8 @@ def cmd_verify(args) -> tuple[int, str, dict]:
         print(f"[SKIP] {entry['name']}  {entry['reason']}")
     return 0 if passed else 3, stem, {
         "parameters": {"suite": args.suite, "d": args.d, "p": args.p, "n": args.n, "n_nodes": args.n_nodes},
-        "seed": args.seed,
         "tolerances": {"tol": args.tol},
-        "outputs": [str(report_path)],
+        "files": {f"{stem}.json": _dump_json(report)},
     }
 
 
@@ -709,8 +692,6 @@ def cmd_klt(args) -> tuple[int, str, dict]:
         "passed": passed,
     }
     stem = f"klt_d{args.d}_q{_tag(args.q)}_{args.mode}"
-    report_path = args.out_dir / f"{stem}.json"
-    atomic_write_text(report_path, _dump_json(report))
     return 0 if passed else 3, stem, {
         "parameters": {
             "d": args.d,
@@ -720,9 +701,8 @@ def cmd_klt(args) -> tuple[int, str, dict]:
             "n_nodes": args.n_nodes,
             "scale": args.scale,
         },
-        "seed": args.seed,
         "tolerances": {"tol": args.tol},
-        "outputs": [str(report_path)],
+        "files": {f"{stem}.json": _dump_json(report)},
         "diagnostics": {"vacuous_count": vacuous},
     }
 
@@ -742,12 +722,16 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _add_out_dir(sub) -> None:
-    sub.add_argument(
+def _add_command(sub, name: str, func, summary: str) -> argparse.ArgumentParser:
+    """The subparser for one command, with --out-dir, running func."""
+    sp = sub.add_parser(name, help=summary)
+    sp.add_argument(
         "--out-dir",
         default=None,
         help=f"output directory (default: ${OUT_DIR_ENV} or the current directory)",
     )
+    sp.set_defaults(func=func)
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -758,14 +742,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    sp = sub.add_parser("constants", help="exponent and constant table for one parameter pair")
+    sp = _add_command(sub, "constants", cmd_constants,
+                      "exponent and constant table for one parameter pair")
     sp.add_argument("--d", type=int, required=True, help="sphere dimension")
     sp.add_argument("--p", type=float, required=True, help="integrability exponent")
     sp.add_argument("--beta", type=float, default=None, help="also report the flow setting at this beta")
-    _add_out_dir(sp)
-    sp.set_defaults(func=cmd_constants)
 
-    sp = sub.add_parser("figure1", help="best-constant sweep over the linear-term coefficient")
+    sp = _add_command(sub, "figure1", cmd_figure1,
+                      "best-constant sweep over the linear-term coefficient")
     sp.add_argument("--d", type=int, default=3)
     sp.add_argument("--p", type=float, default=3.0)
     sp.add_argument("--lambda-grid", type=float, nargs="+", default=None, help="explicit grid values")
@@ -774,24 +758,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--restarts", type=int, default=8, help="random restarts per grid value")
     sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_out_dir(sp)
-    sp.set_defaults(func=cmd_figure1)
 
-    sp = sub.add_parser("figure2", help="admissible diffusion-exponent band per dimension")
+    sp = _add_command(sub, "figure2", cmd_figure2,
+                      "admissible diffusion-exponent band per dimension")
     sp.add_argument("--d", type=int, nargs="+", default=[1, 2, 3, 4, 5])
     sp.add_argument("--p-min", type=float, default=1.0)
     sp.add_argument("--p-max", type=float, default=None, help="default: the critical exponent, or 18 when infinite")
     sp.add_argument("--p-step", type=float, default=0.05)
-    _add_out_dir(sp)
-    sp.set_defaults(func=cmd_figure2)
 
-    sp = sub.add_parser("flow", help="run a flow described by a JSON config and certify it")
+    sp = _add_command(sub, "flow", cmd_flow, "run a flow described by a JSON config and certify it")
     sp.add_argument("config", help="path to the JSON flow description")
     sp.add_argument("--tol", type=float, default=1e-6, help="slack on the heat-flow ODE-chain residual (ode_tol)")
-    _add_out_dir(sp)
-    sp.set_defaults(func=cmd_flow)
 
-    sp = sub.add_parser("verify", help="randomized inequality batteries")
+    sp = _add_command(sub, "verify", cmd_verify, "randomized inequality batteries")
     sp.add_argument("suite", choices=_SUITES, help="which battery to run")
     sp.add_argument("--d", type=int, default=3)
     sp.add_argument("--p", type=float, default=3.0)
@@ -799,10 +778,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-nodes", type=int, default=48)
     sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--tol", type=float, default=1e-8, help="relative slack per check")
-    _add_out_dir(sp)
-    sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("klt", help="randomized Schrodinger spectral-bound battery")
+    sp = _add_command(sub, "klt", cmd_klt, "randomized Schrodinger spectral-bound battery")
     sp.add_argument("--d", type=int, default=3)
     sp.add_argument("--q", type=float, default=3.0, help="exponent of the norm measuring the potential")
     sp.add_argument("--samples", type=int, default=50)
@@ -811,36 +788,41 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scale", type=float, default=0.5, help="size of the random potentials")
     sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--tol", type=float, default=1e-8)
-    _add_out_dir(sp)
-    sp.set_defaults(func=cmd_klt)
 
     return parser
 
 
 def _run(args) -> int:
-    """Run one subcommand, write its manifest, and return its exit code.
+    """Run one subcommand, write its data files and manifest, and return its
+    exit code.
 
-    args.func writes the data files into args.out_dir and returns (exit code,
-    file stem, record); the record holds the manifest's parameters and
-    outputs, and its seed, tolerances and diagnostics where the command has
-    them.
+    args.func writes nothing: it returns (exit code, file stem, record), the
+    record holding the data files as {file name: text}, the manifest's
+    parameters, and its tolerances and diagnostics where the command has
+    them.  The output directory is made before the command runs and the files
+    are written, in order, after it returns: an unusable --out-dir fails
+    before any work, and a command that raises writes nothing.
     """
     started = time.perf_counter()
-    args.out_dir = _resolve_out_dir(args)
+    out_dir = Path(args.out_dir or os.environ.get(OUT_DIR_ENV) or ".")
+    out_dir.mkdir(parents=True, exist_ok=True)
     code, stem, record = args.func(args)
+    outputs = [str(out_dir / name) for name in record["files"]]
+    for path, text in zip(outputs, record["files"].values()):
+        atomic_write_text(path, text)
     manifest = {
         "command": args.command,
         "parameters": record["parameters"],
-        "seed": record.get("seed"),
+        "seed": getattr(args, "seed", None),
         "tool_version": __version__,
         "tolerances": record.get("tolerances", {}),
-        "outputs": record["outputs"],
+        "outputs": outputs,
         "wall_clock_seconds": time.perf_counter() - started,
         "diagnostics": record.get("diagnostics", {}),
     }
-    manifest_path = args.out_dir / f"{stem}_manifest.json"
+    manifest_path = out_dir / f"{stem}_manifest.json"
     atomic_write_text(manifest_path, _dump_json(manifest))
-    print(f"wrote {', '.join(record['outputs'])} and {manifest_path}")
+    print(f"wrote {', '.join(outputs)} and {manifest_path}")
     return code
 
 

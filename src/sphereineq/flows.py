@@ -504,7 +504,8 @@ def certify_ode_chain(
     Heat mode verifies e'' + 2 d e' - gamma (e')^2 / (1 - (p-2) e) >= 0 with
     e' = -2 i and e'' = -2 i' (i' by finite differences), plus monotonicity of
     the recorded Lyapunov quantity.  Nonlinear mode checks monotonicity of
-    i - d e and, for admissible settings, of i psi'(e) - d psi(e).
+    i - d e and, for admissible settings, of i psi'(e) - d psi(e).  pp, if
+    given, must be the trace's own point.
     """
     for name, tol in (("mass_tol", mass_tol), ("rate_tol", rate_tol),
                       ("lyapunov_tol", lyapunov_tol), ("ode_tol", ode_tol)):
@@ -516,8 +517,10 @@ def certify_ode_chain(
     h = trace.times[1] - trace.times[0]
     if np.max(np.abs(np.diff(trace.times) - h)) > 1e-9 * max(h, 1.0):
         raise ValidationError("certification needs a uniform time grid")
-    if pp is None:
-        pp = trace.setting.pp if isinstance(trace.setting, FlowSetting) else trace.setting
+    own = trace.setting.pp if isinstance(trace.setting, FlowSetting) else trace.setting
+    if pp is not None and (pp.d, pp.p) != (own.d, own.p):
+        raise ValidationError(f"pp = ({pp.d}, {pp.p}) is not the trace's point ({own.d}, {own.p})")
+    pp = own
     heat = trace.mode == "heat"
     if mass_tol is None:
         mass_tol = 1.0e-10 if heat else 1.0e-6

@@ -134,14 +134,14 @@ class AxiFunction:
 
     Values are immutable after construction; the coefficient representation in
     the orthonormal ultraspherical basis is computed on first use and cached.
-    Either representation can seed the constructor.
+    Either representation, but not both, seeds the constructor.
     """
 
     __slots__ = ("rule", "_values", "_coefficients")
 
     def __init__(self, rule: UltrasphericalRule, values=None, coefficients=None):
-        if values is None and coefficients is None:
-            raise ValidationError("provide values or coefficients")
+        if (values is None) == (coefficients is None):
+            raise ValidationError("provide exactly one of values and coefficients")
         self.rule = rule
         if values is not None:
             arr = np.array(values, dtype=float).ravel()

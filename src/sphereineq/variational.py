@@ -248,7 +248,12 @@ _OPENBLAS_SET_THREADS = (
 
 
 def _pin_blas() -> None:
-    """Set every OpenBLAS this process has loaded to one thread."""
+    """Set every OpenBLAS this process has loaded to one thread.
+
+    Unpinned, the workers' BLAS threads contend for the cores: with
+    OPENBLAS_NUM_THREADS unset, a 2-CPU (3, 3) sweep over lambda = 2, 3.5 (48
+    nodes, 2 restarts, 400 iterations) took 3.3-5.3 s against 0.9 s, same values.
+    """
     import ctypes
 
     with open("/proc/self/maps") as maps:
@@ -332,7 +337,7 @@ def _solve(pp: ParameterPoint, values, seeds, node_count, restarts, max_iters):
         for value, points in zip(values, starts)
         for c0 in points
     ]
-    workers = _worker_count()
+    workers = min(_worker_count(), len(tasks))
     if workers == 1:
         descents = list(map(_run_start, tasks))
     else:

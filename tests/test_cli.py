@@ -667,6 +667,28 @@ def test_manifest_lists_outputs_that_rerun_byte_identical(command, tmp_path, cap
         assert (tmp_path / "b" / path.name).read_bytes() == path.read_bytes(), path.name
 
 
+@pytest.mark.parametrize("command", list(SMALL_RUNS))
+def test_commands_write_nothing_and_main_writes_their_files(command, tmp_path, monkeypatch):
+    # a command returns its data files; _run alone writes them
+    argv, stem = SMALL_RUNS[command]
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    args = cli.build_parser().parse_args([*argv, "--out-dir", str(out)])
+    code, returned_stem, record = args.func(args)
+    assert code == 0
+    assert returned_stem == stem
+    assert list(tmp_path.iterdir()) == []
+    files = record["files"]
+    assert files and all(isinstance(text, str) for text in files.values())
+
+    assert run_cli(*argv, "--out-dir", str(out)) == 0
+    manifest = load_json(out / f"{stem}_manifest.json")
+    assert manifest["outputs"] == [str(out / name) for name in files]
+    assert sorted(path.name for path in out.iterdir()) == sorted([*files, f"{stem}_manifest.json"])
+    for name, text in files.items():
+        assert (out / name).read_text() == text, name
+
+
 class TestMainContract:
     def test_missing_command_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -883,15 +905,16 @@ class TestLazyScipyImports:
         assert json.loads(python_fresh(_PROCESS_PROBE, *argv)) == [0, [], []]
 
     def test_figure1_starts_its_workers(self, tmp_path):
-        # one worker per CPU runs the descents, and all have exited when
-        # main returns
+        # one worker per CPU, at most one per task, runs the 4 descents, and
+        # all have exited when main returns
         argv = ["figure1", "--lambda-grid", "1.5", "--n-nodes", "24", "--restarts", "1",
                 "--out-dir", str(tmp_path)]
         code, modules, children = json.loads(python_fresh(_PROCESS_PROBE, *argv))
         assert code == 0
         assert children == []
         cpus = len(os.sched_getaffinity(0))
-        assert load_json(tmp_path / "figure1_d3_p3_manifest.json")["diagnostics"]["workers"] == cpus
+        workers = load_json(tmp_path / "figure1_d3_p3_manifest.json")["diagnostics"]["workers"]
+        assert workers == min(cpus, 4)
         assert ("multiprocessing" in modules) == (cpus > 1)
 
     def test_verify_ckp_loads_no_optimize(self, tmp_path):

@@ -516,6 +516,22 @@ class TestCertification:
             certify_ode_chain(stub)
 
 
+    @pytest.mark.parametrize("d,p", [(2, 3.0), (3, 5.0)])
+    def test_other_points_pp_rejected(self, d, p):
+        # a (3, 3) trace passed against the d = 2 formulas, and at (3, 5),
+        # where the ODE chain does not apply, it was skipped
+        trace = run_heat_flow(tilted(RULE3), make_flow_config(D3P3, 0.5, sample_count=65))
+        assert certify_ode_chain(trace, make_parameter_point(3, 3.0)).passed
+        with pytest.raises(ValidationError, match="not the trace's point"):
+            certify_ode_chain(trace, make_parameter_point(d, p))
+
+    def test_nonlinear_trace_checks_its_own_point(self):
+        fs = make_flow_setting(D3P5, 1.2)
+        trace = run_nonlinear_flow(tilted(RULE3), make_flow_config(fs, 0.05, sample_count=65))
+        assert certify_ode_chain(trace, D3P5).passed
+        with pytest.raises(ValidationError, match="not the trace's point"):
+            certify_ode_chain(trace, D3P3)
+
     @pytest.mark.parametrize("name", ["mass_tol", "rate_tol", "lyapunov_tol", "ode_tol"])
     def test_bad_tolerance_rejected(self, name):
         trace = run_heat_flow(tilted(RULE3), make_flow_config(D3P3, 0.5, sample_count=65))

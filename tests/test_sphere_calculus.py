@@ -185,6 +185,13 @@ class TestAxiFunction:
         with pytest.raises(ValidationError):
             AxiFunction(rule, values=np.full(8, np.inf))
 
+    def test_values_and_coefficients_together_rejected(self):
+        # both were kept unchecked: constant values with the coefficients of
+        # a tilt gave a Dirichlet energy of 3 for a constant function
+        rule = make_rule(3, 8)
+        with pytest.raises(ValidationError, match="exactly one"):
+            AxiFunction(rule, values=np.ones(8), coefficients=[0.0, 1.0])
+
 
 class TestNorms:
     def test_constant(self):

@@ -439,6 +439,14 @@ class TestWorkerPool:
         monkeypatch.undo()
         assert solve_value(2.0) == expected
 
+    def test_pool_is_capped_at_the_task_count(self, monkeypatch):
+        # restarts=0 gives one value three starts: with 8 CPUs, 3 workers
+        monkeypatch.setattr(variational.os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        curve = bound_curve_sweep(D3P3, [2.0], node_count=24, restarts=0)
+        assert curve.workers == 3
+        assert multiprocessing.active_children() == []
+
     def test_solves_leave_no_process_or_thread(self):
         threads = threading.active_count()
         best_constant(D3P3, 0.5, node_count=24, restarts=1)
