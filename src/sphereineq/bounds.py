@@ -20,7 +20,7 @@ import math
 from functools import lru_cache
 
 from .errors import ValidationError, check_real
-from .exponents import ParameterPoint, _is_log_branch
+from .exponents import ParameterPoint, _is_log_branch, _log_sphere_surface
 
 __all__ = [
     "afst_constants",
@@ -281,7 +281,10 @@ def c_dp(pp: ParameterPoint) -> float:
     """
     if pp.p == 2.0:
         raise ValidationError("c_dp is not defined at p = 2; use the log-form constant")
-    log_term = (pp.delta / pp.p) * math.log(2.0) + (1.0 - 2.0 / pp.p) * math.log(
-        pp.sphere_volume
-    )
-    return float(pp.d * math.exp(log_term) / (pp.p - 2.0))
+    # from d = 455 on the surface underflows to 0; its log then comes from log-gamma
+    log_volume = math.log(pp.sphere_volume) if pp.sphere_volume > 0.0 else _log_sphere_surface(pp.d)
+    log_term = (pp.delta / pp.p) * math.log(2.0) + (1.0 - 2.0 / pp.p) * log_volume
+    try:
+        return float(pp.d * math.exp(log_term) / (pp.p - 2.0))
+    except OverflowError:
+        raise ValidationError(f"c_dp overflows a float at (d, p) = ({pp.d}, {pp.p})") from None

@@ -312,13 +312,11 @@ def cmd_figure2(args) -> tuple[int, str, dict]:
 
 
 # flow-config key -> the type its JSON value must have and is read as; the
-# keys after time_horizon are make_flow_config's keyword arguments, and
-# "initial" is read by _initial_function
+# keys from time_horizon to antipodal are make_flow_config's arguments after
+# setting, and "initial" is read by _initial_function
 _FLOW_KEYS = {
     "mode": str, "d": int, "p": float, "beta": float, "time_horizon": float,
-    "node_count": int, "sample_count": int, "antipodal": bool, "initial_dt": float,
-    "safety": float, "max_dt": float, "rtol": float, "atol": float,
-    "positivity_floor": float, "initial": dict,
+    "node_count": int, "sample_count": int, "antipodal": bool, "initial": dict,
 }
 _INITIAL_KEYS = {"kind", "amplitude", "coefficients"}
 _JSON_TYPE_NAMES = {
@@ -800,12 +798,16 @@ def _run(args) -> int:
     record holding the data files as {file name: text}, the manifest's
     parameters, and its tolerances and diagnostics where the command has
     them.  The output directory is made before the command runs and the files
-    are written, in order, after it returns: an unusable --out-dir fails
-    before any work, and a command that raises writes nothing.
+    are written, in order, after it returns: an --out-dir that cannot be made
+    is a ValidationError before any work, and a command that raises writes
+    nothing.
     """
     started = time.perf_counter()
     out_dir = Path(args.out_dir or os.environ.get(OUT_DIR_ENV) or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot use {out_dir} as the output directory: {exc}") from exc
     code, stem, record = args.func(args)
     outputs = [str(out_dir / name) for name in record["files"]]
     for path, text in zip(outputs, record["files"].values()):

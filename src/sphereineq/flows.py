@@ -43,15 +43,22 @@ __all__ = [
 ]
 
 
+# Dormand-Prince step control of the porous-medium march, and the floor below
+# which a density value counts as a loss of positivity.
+_STEP_CONTROL = {"initial_dt": 1e-4, "safety": 0.9, "max_dt": 0.05, "rtol": 1e-8, "atol": 1e-12}
+_POSITIVITY_FLOOR = 1.0e-12
+# certification thresholds (mass drift, entropy-rate residual, Lyapunov increase)
+_HEAT_TOLERANCES = (1e-10, 1e-6, 1e-8)
+_NONLINEAR_TOLERANCES = (1e-6, 1e-4, 1e-7)
+
+
 @dataclass(frozen=True)
 class FlowConfig:
-    """Run parameters for a flow: dynamics, horizon, stepping, resolution."""
+    """Run parameters for a flow: dynamics, horizon, resolution."""
 
     setting: FlowSetting | ParameterPoint
     time_horizon: float
-    step_control: dict
     node_count: int
-    positivity_floor: float
     sample_count: int
     antipodal: bool
 
@@ -61,12 +68,6 @@ def make_flow_config(
     time_horizon: float = 1.0,
     *,
     node_count: int = 48,
-    initial_dt: float = 1.0e-4,
-    safety: float = 0.9,
-    max_dt: float = 0.05,
-    rtol: float = 1.0e-8,
-    atol: float = 1.0e-12,
-    positivity_floor: float = 1.0e-12,
     sample_count: int = 257,
     antipodal: bool = False,
 ) -> FlowConfig:
@@ -75,31 +76,12 @@ def make_flow_config(
     if not isinstance(setting, (FlowSetting, ParameterPoint)):
         raise ValidationError("setting must be a FlowSetting or a ParameterPoint")
     time_horizon = check_real("time_horizon", time_horizon, 0.0, strict=True)
-    positivity_floor = check_real("positivity_floor", positivity_floor, 0.0, strict=True)
     if sample_count < 2:
         raise ValidationError(f"sample_count must be >= 2, got {sample_count}")
     if node_count < 4:
         raise ValidationError(f"node_count must be >= 4, got {node_count}")
-    if not (0.0 < safety <= 1.0):
-        raise ValidationError(f"safety factor must be in (0, 1], got {safety}")
-    if not (0.0 < initial_dt <= max_dt):
-        raise ValidationError("need 0 < initial_dt <= max_dt")
-    step_control = {
-        "initial_dt": float(initial_dt),
-        "safety": float(safety),
-        "max_dt": float(max_dt),
-        "rtol": check_real("rtol", rtol, 0.0, strict=True),
-        "atol": check_real("atol", atol, 0.0),
-    }
-    return FlowConfig(
-        setting=setting,
-        time_horizon=time_horizon,
-        step_control=step_control,
-        node_count=int(node_count),
-        positivity_floor=positivity_floor,
-        sample_count=int(sample_count),
-        antipodal=bool(antipodal),
-    )
+    return FlowConfig(setting=setting, time_horizon=time_horizon, node_count=int(node_count),
+                      sample_count=int(sample_count), antipodal=bool(antipodal))
 
 
 @dataclass(frozen=True)
@@ -447,19 +429,18 @@ def run_nonlinear_flow(u0: AxiFunction, cfg: FlowConfig) -> EntropyTrace:
         c = rule.to_coefficients(rho0)
         c[1::2] = 0.0
         rho0 = rule.to_values(c)
-    rhs = _PorousMediumRHS(rule, fs.m, cfg.positivity_floor, cfg.antipodal)
+    rhs = _PorousMediumRHS(rule, fs.m, _POSITIVITY_FLOOR, cfg.antipodal)
     times = np.linspace(0.0, cfg.time_horizon, cfg.sample_count)
     steps = {"accepted_steps": 0, "rejected_steps": 0, "positivity_halvings": 0}
     rho = rho0.copy()
     t = 0.0
-    dt = cfg.step_control["initial_dt"]
+    dt = _STEP_CONTROL["initial_dt"]
     k1 = None
     densities = []
     for t_target in times:
         if t_target > t:
             rho, t, dt, k1 = _advance(
-                rhs, rho, float(t_target), t, dt, cfg.step_control,
-                cfg.positivity_floor, steps, k1,
+                rhs, rho, float(t_target), t, dt, _STEP_CONTROL, _POSITIVITY_FLOOR, steps, k1,
             )
         # _advance never writes into its y, so a stored rho keeps its samples
         densities.append(rho)
@@ -494,9 +475,6 @@ def certify_ode_chain(
     trace: EntropyTrace,
     pp: ParameterPoint | None = None,
     *,
-    mass_tol: float | None = None,
-    rate_tol: float | None = None,
-    lyapunov_tol: float | None = None,
     ode_tol: float = 1.0e-6,
 ) -> CertificationReport:
     """Check the differential inequalities encoded in a flow trace.
@@ -505,12 +483,11 @@ def certify_ode_chain(
     e' = -2 i and e'' = -2 i' (i' by finite differences), plus monotonicity of
     the recorded Lyapunov quantity.  Nonlinear mode checks monotonicity of
     i - d e and, for admissible settings, of i psi'(e) - d psi(e).  pp, if
-    given, must be the trace's own point.
+    given, must be the trace's own point.  ode_tol is the slack on the ODE
+    residual; the other thresholds are fixed per mode and listed in the
+    report's tolerances.
     """
-    for name, tol in (("mass_tol", mass_tol), ("rate_tol", rate_tol),
-                      ("lyapunov_tol", lyapunov_tol), ("ode_tol", ode_tol)):
-        if tol is not None:
-            check_real(name, tol, 0.0)
+    check_real("ode_tol", ode_tol, 0.0)
     n = len(trace.times)
     if n < 64:
         raise ValidationError(f"trace too short for certification: {n} < 64 samples")
@@ -522,12 +499,7 @@ def certify_ode_chain(
         raise ValidationError(f"pp = ({pp.d}, {pp.p}) is not the trace's point ({own.d}, {own.p})")
     pp = own
     heat = trace.mode == "heat"
-    if mass_tol is None:
-        mass_tol = 1.0e-10 if heat else 1.0e-6
-    if rate_tol is None:
-        rate_tol = 1.0e-6 if heat else 1.0e-4
-    if lyapunov_tol is None:
-        lyapunov_tol = 1.0e-8 if heat else 1.0e-7
+    mass_tol, rate_tol, lyapunov_tol = _HEAT_TOLERANCES if heat else _NONLINEAR_TOLERANCES
 
     mass_drift = float(np.max(np.abs(trace.mass - trace.mass[0])) / abs(trace.mass[0]))
     rate_max = float(np.max(trace.e_rate_residual))
@@ -555,12 +527,8 @@ def certify_ode_chain(
             psi_lyap = psi_prime * (trace.i - pp.d * phi_vals)
             psi_increase = float(np.max(np.diff(psi_lyap)))
 
-    tolerances = {
-        "mass_tol": mass_tol,
-        "rate_tol": rate_tol,
-        "lyapunov_tol": lyapunov_tol,
-        "ode_tol": ode_tol,
-    }
+    tolerances = {"mass_tol": mass_tol, "rate_tol": rate_tol, "lyapunov_tol": lyapunov_tol,
+                  "ode_tol": ode_tol}
     passed = mass_drift <= mass_tol and rate_max <= rate_tol
     admissible_run = (
         trace.stats.get("admissible", True) if trace.mode == "nonlinear" else True

@@ -223,10 +223,13 @@ def _log_entropy(values: np.ndarray, rule: UltrasphericalRule) -> float:
 
 def _norm_and_entropy(u: AxiFunction, p: float) -> tuple[float, float]:
     """|u|_p^2 and the entropy e of entropy_fisher (its log form at p = 2)."""
-    np2 = lp_norm(u, p) ** 2
-    if p == 2.0:
-        return np2, 0.5 * _log_entropy(u.values, u.rule)
-    n22 = lp_norm(u, 2.0) ** 2
+    try:
+        np2 = lp_norm(u, p) ** 2
+        if p == 2.0:
+            return np2, 0.5 * _log_entropy(u.values, u.rule)
+        n22 = lp_norm(u, 2.0) ** 2
+    except OverflowError:
+        raise ValidationError(f"the squared L^p or L^2 norm of u overflows a float (p = {p})") from None
     return np2, (np2 - n22) / (p - 2.0)
 
 

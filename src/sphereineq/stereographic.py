@@ -13,6 +13,7 @@ moment-constrained forms with their logarithmic limit.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -219,6 +220,25 @@ _FLAT_IDS = (
 )
 
 
+def _entropy_power(kappa_p: float, pterm: float, weighted_2: float, theta: float) -> float:
+    """(kappa_p pterm)^(1 - theta) weighted_2^theta, the power in sharper_stability.
+
+    Near p = 2, |theta| = |gamma / (2 - p)| runs into the hundreds and the
+    product of three powers overflows.  The grouping b (weighted_2 / b)^theta,
+    b = kappa_p pterm, stays finite there; it rounds differently from the
+    product, so it is used only where the product is not finite.
+    """
+    base = kappa_p * pterm
+    for power in (
+        lambda: kappa_p ** (1.0 - theta) * pterm ** (1.0 - theta) * weighted_2**theta,
+        lambda: base * (weighted_2 / base) ** theta,
+    ):
+        with contextlib.suppress(ArithmeticError):
+            if math.isfinite(value := power()):
+                return value
+    raise ValidationError(f"sharper_stability's power term is not finite at theta = {theta}")
+
+
 def euclidean_deficit(
     v: RadialEuclideanFunction,
     inequality_id: str,
@@ -306,8 +326,7 @@ def euclidean_deficit(
         if _is_log_branch(pp):
             rhs = 4.0 * d / (2.0 - p) * weighted_2 * math.log(weighted_2 / (pp.kappa_p * pterm))
         else:
-            theta = pp.gamma / (2.0 - p)
-            power = pp.kappa_p ** (1.0 - theta) * pterm ** (1.0 - theta) * weighted_2**theta
+            power = _entropy_power(pp.kappa_p, pterm, weighted_2, pp.gamma / (2.0 - p))
             rhs = 4.0 * d / (2.0 - p - pp.gamma) * (weighted_2 - power)
         inputs.update(gamma=pp.gamma, kappa_p=pp.kappa_p)
     elif not log_form:

@@ -352,9 +352,7 @@ def test_flow_certification():
     rule = make_rule(3, 48)
     u0 = AxiFunction(rule, values=1.0 + 0.1 * rule.nodes)
     trace = run_heat_flow(u0, make_flow_config(pp33, 1.0, node_count=48))
-    heat = certify_ode_chain(
-        trace, pp33, mass_tol=1e-10, rate_tol=1e-6, lyapunov_tol=1e-8, ode_tol=1e-6
-    )
+    heat = certify_ode_chain(trace, pp33)
     assert heat.mass_max_drift <= 1e-10
     assert heat.e_rate_max_residual < 1e-6
     assert heat.lyapunov_max_increase <= 1e-8
@@ -366,9 +364,10 @@ def test_flow_certification():
     fs = make_flow_setting(pp35, 1.2)
     u0_nl = AxiFunction(rule, values=np.exp(0.3 * rule.nodes))
     trace_nl = run_nonlinear_flow(u0_nl, make_flow_config(fs, 0.5, node_count=48))
-    nonlinear = certify_ode_chain(trace_nl, pp35, mass_tol=1e-6, lyapunov_tol=1e-8)
+    nonlinear = certify_ode_chain(trace_nl, pp35)
     assert nonlinear.mass_max_drift <= 1e-6
     assert nonlinear.lyapunov_max_increase <= 1e-8
+    assert nonlinear.psi_lyapunov_max_increase <= 1e-8
     assert nonlinear.passed
 
     elapsed = time.perf_counter() - started

@@ -17,7 +17,7 @@ from sphereineq.bounds import (
     mu_lower_thm2,
 )
 from sphereineq.errors import ValidationError
-from sphereineq.exponents import make_parameter_point
+from sphereineq.exponents import _log_sphere_surface, make_parameter_point
 from sphereineq.phi_functions import phi_envelope
 
 
@@ -382,6 +382,17 @@ class TestEuclideanConstant:
     def test_p_two_rejected(self):
         with pytest.raises(ValidationError):
             c_dp(make_parameter_point(3, 2.0))
+
+    @pytest.mark.parametrize("d,p", [(400, 2.001), (1000, 1.999), (10_000, 1.999)])
+    def test_log_gamma_surface(self, d, p):
+        # from d = 455 on |S^d| underflows to 0, whose log was a math domain error
+        pp = make_parameter_point(d, p)
+        log_term = (pp.delta / p) * math.log(2.0) + (1.0 - 2.0 / p) * _log_sphere_surface(d)
+        assert c_dp(pp) == pytest.approx(d * math.exp(log_term) / (p - 2.0), rel=1e-12)
+
+    def test_overflow_rejected(self):
+        with pytest.raises(ValidationError, match="overflows"):
+            c_dp(make_parameter_point(10_000, 1.9))
 
 
 class TestBoundCurve:

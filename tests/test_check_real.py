@@ -97,12 +97,6 @@ SITES = [
     ("exponents", "flow exponent beta", lambda x: make_flow_setting(D3P3, x), -math.inf, False),
     ("phi_functions", "entropy argument", lambda x: phi(D3P3, x), 0.0, False),
     ("flows", "time_horizon", lambda x: make_flow_config(D3P3, x), 0.0, True),
-    ("flows", "positivity_floor", lambda x: make_flow_config(D3P3, positivity_floor=x), 0.0, True),
-    ("flows", "rtol", lambda x: make_flow_config(D3P3, rtol=x), 0.0, True),
-    ("flows", "atol", lambda x: make_flow_config(D3P3, atol=x), 0.0, False),
-    ("flows", "mass_tol", lambda x: certify_ode_chain(_trace(), mass_tol=x), 0.0, False),
-    ("flows", "rate_tol", lambda x: certify_ode_chain(_trace(), rate_tol=x), 0.0, False),
-    ("flows", "lyapunov_tol", lambda x: certify_ode_chain(_trace(), lyapunov_tol=x), 0.0, False),
     ("flows", "ode_tol", lambda x: certify_ode_chain(_trace(), ode_tol=x), 0.0, False),
     ("variational", "lam", lambda x: best_constant(D3P3, x), 0.0, True),
     ("variational", "mu", lambda x: best_constant(D3P15, x), 0.0, True),

@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -396,7 +397,7 @@ class TestFlow:
         attempts = work["accepted_steps"] + work["rejected_steps"]
         assert work["rhs_evaluations"] == 6 * attempts + 1
 
-    def test_config_validation_errors(self, tmp_path):
+    def test_config_validation_errors(self, tmp_path, capsys):
         bad = [
             write_config(tmp_path / "c1.json", typo_key=1),
             write_config(tmp_path / "c2.json", mode="steady"),
@@ -429,12 +430,13 @@ class TestFlow:
             assert run_cli("flow", str(config), "--out-dir", str(tmp_path)) == 2, config
         assert not list(tmp_path.glob("flow_*"))
 
-        # json.loads accepts NaN; a NaN tolerance used to hang the step control
-        nan_rtol = tmp_path / "nan_rtol.json"
-        nan_rtol.write_text(write_config(tmp_path / "c8.json").read_text()[:-1] + ', "rtol": NaN}')
-        assert run_cli("flow", str(nan_rtol), "--out-dir", str(tmp_path)) == 2
-        zero_tol = write_config(tmp_path / "c9.json", rtol=0.0, atol=0.0)
-        assert run_cli("flow", str(zero_tol), "--out-dir", str(tmp_path)) == 2
+        # the step control and the positivity floor are fixed in flows: a
+        # config that sets one exits 2 and names the key
+        capsys.readouterr()
+        for key in ("initial_dt", "safety", "max_dt", "rtol", "atol", "positivity_floor"):
+            config = write_config(tmp_path / f"{key}.json", **{key: 1e-3})
+            assert run_cli("flow", str(config), "--out-dir", str(tmp_path)) == 2
+            assert f"unknown flow config keys: {key}" in capsys.readouterr().err
 
         (tmp_path / "broken.json").write_text("{not json")
         assert run_cli("flow", str(tmp_path / "broken.json"), "--out-dir", str(tmp_path)) == 2
@@ -747,6 +749,95 @@ class TestMainContract:
         )
         assert result.returncode == 0
         assert __version__ in result.stdout
+
+
+# Command lines for the exit-code property: every subcommand, d up to 10^4,
+# and numbers across and beyond their ranges (p within 1e-3 of 2 included,
+# nan and +-inf too), each run kept small.  "{config}" stands for the path of
+# the drawn flow config.
+_DIMENSIONS = st.one_of(
+    st.integers(1, 9), st.sampled_from([0, 100, 455, 1000, 10_000]), st.integers(-1, 10_000),
+).map(str)
+
+
+def _numbers(lo: float, hi: float):
+    return st.one_of(
+        st.floats(lo, hi), st.floats(1.999, 2.001), st.floats(-1.0, 4.0 * hi),
+        st.sampled_from([math.nan, math.inf]),
+    ).map(repr)
+
+
+@st.composite
+def _command_lines(draw):
+    command = draw(st.sampled_from(["constants", "figure1", "figure2", "flow", "verify", "klt"]))
+    d, p = draw(_DIMENSIONS), draw(_numbers(1.0, 6.0))
+    if command == "constants":
+        beta = draw(st.lists(_numbers(-3.0, 6.0), max_size=1))
+        return ["constants", "--d", d, "--p", p, *(["--beta", *beta] if beta else [])], None
+    if command == "figure1":
+        lam = draw(_numbers(0.0, 6.0))
+        return ["figure1", "--d", d, "--p", p, "--lambda-grid", lam,
+                "--n-nodes", "8", "--restarts", "0"], None
+    if command == "figure2":
+        grid = ["--p-min", draw(_numbers(0.5, 6.0)), "--p-step", draw(_numbers(0.05, 3.0))]
+        return ["figure2", "--d", d, *grid], None
+    if command == "verify":
+        suite = draw(st.sampled_from(cli._SUITES))
+        return ["verify", suite, "--d", d, "--p", p, "--n", draw(st.sampled_from(["1", "2"]))], None
+    if command == "klt":
+        mode = draw(st.sampled_from(["minus_V", "plus_V", "both"]))
+        return ["klt", "--d", d, "--q", p, "--samples", "2", "--mode", mode,
+                "--n-nodes", "16", "--scale", draw(_numbers(0.0, 2.0))], None
+    mode = draw(st.sampled_from(["heat", "nonlinear"]))
+    config = {
+        "mode": mode, "d": int(d), "p": float(p), "time_horizon": 0.05,
+        "node_count": 16, "sample_count": 65, "antipodal": draw(st.booleans()),
+        "initial": {"kind": draw(st.sampled_from(["affine", "exponential", "even"])),
+                    "amplitude": float(draw(_numbers(-1.0, 1.0)))},
+    }
+    if mode == "nonlinear":
+        config["beta"] = float(draw(_numbers(-3.0, 6.0)))
+    return ["flow", "{config}", "--tol", draw(_numbers(0.0, 1e-3))], config
+
+
+@settings(max_examples=200, deadline=None)
+@given(_command_lines(), st.booleans())
+# an --out-dir under a regular file raised NotADirectoryError (exit 1)
+@example((["constants", "--d", "3", "--p", "3"], None), True)
+# log |S^d| of a surface that underflows to 0 raised a math domain error in c_dp
+@example((["constants", "--d", "1000", "--p", "1.999"], None), False)
+# sharper_stability's power overflowed near p = 2
+@example((["verify", "euclidean", "--d", "3", "--p", "2.001", "--n", "2"], None), False)
+# |u|_p^2 overflowed at d = 10^4
+@example((["verify", "gns", "--d", "10000", "--p", "1.0", "--n", "2"], None), False)
+def test_every_failure_exits_with_a_documented_code(run, out_under_file):
+    argv, config = run
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if config is not None:
+            (tmp / "config.json").write_text(json.dumps(config))
+            argv = [str(tmp / "config.json") if a == "{config}" else a for a in argv]
+        out = tmp / "out"
+        if out_under_file:
+            out.write_text("")
+            out = out / "x"
+        try:
+            code = run_cli(*argv, "--out-dir", str(out))
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+        assert code in (0, 2, 3, 4), argv
+        if code == 2 or out_under_file:
+            assert not out.exists() or not any(out.iterdir()), argv
+
+
+def test_flow_keys_are_make_flow_config_arguments():
+    from inspect import signature
+
+    from sphereineq.flows import make_flow_config
+
+    read_by_cmd_flow = {"mode", "d", "p", "beta", "initial"}
+    arguments = set(signature(make_flow_config).parameters) - {"setting"}
+    assert set(cli._FLOW_KEYS) - read_by_cmd_flow == arguments
 
 
 # Runs in a fresh interpreter: other tests load numpy and scipy.optimize into

@@ -1,5 +1,6 @@
 """Tests for the heat and nonlinear diffusion flow runners."""
 
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphereineq import flows
+from sphereineq import cli, flows
 from sphereineq.errors import ConvergenceError, ValidationError
 from sphereineq.exponents import make_flow_setting, make_parameter_point
 from sphereineq.flows import (
@@ -38,12 +39,6 @@ class TestConfig:
         with pytest.raises(ValidationError):
             make_flow_config(D3P3, time_horizon=0.0)
         with pytest.raises(ValidationError):
-            make_flow_config(D3P3, positivity_floor=0.0)
-        with pytest.raises(ValidationError):
-            make_flow_config(D3P3, safety=1.5)
-        with pytest.raises(ValidationError):
-            make_flow_config(D3P3, initial_dt=0.1, max_dt=0.05)
-        with pytest.raises(ValidationError):
             make_flow_config(D3P3, node_count=2)
         with pytest.raises(ValidationError):
             make_flow_config(D3P3, sample_count=1)
@@ -63,19 +58,30 @@ class TestConfig:
             {"atol": math.inf},
         ],
     )
-    def test_rejects_bad_tolerances(self, tolerances):
-        # a NaN or zero tolerance made the step control loop forever
-        with pytest.raises(ValidationError):
-            make_flow_config(D3P3, **tolerances)
+    def test_rejects_bad_tolerances(self, tolerances, tmp_path, capsys):
+        # a NaN or zero tolerance made the step control loop forever; the
+        # step control is fixed now, and a flow config that sets a tolerance
+        # exits 2, naming the key, before anything runs
+        spec = {"mode": "heat", "d": 3, "p": 3.0, "initial": {"kind": "affine"}, **tolerances}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(spec))
+        assert cli.main(["flow", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"unknown flow config keys: {', '.join(sorted(tolerances))}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
     def test_zero_atol_allowed(self):
-        assert make_flow_config(D3P3, atol=0.0).step_control["atol"] == 0.0
+        # pure relative error control still marches y' = -y to its target
+        sc = {**flows._STEP_CONTROL, "atol": 0.0}
+        stats = {"accepted_steps": 0, "rejected_steps": 0, "positivity_halvings": 0}
+        y, t, _, _ = _advance(lambda y: -y, np.ones(3), 1.0, 0.0, 1.0e-3, sc, 1.0e-12, stats)
+        assert t == pytest.approx(1.0)
+        assert y == pytest.approx(np.full(3, math.exp(-1.0)), rel=1e-7)
 
     def test_step_control_contents(self):
-        cfg = make_flow_config(D3P3, initial_dt=1e-3, max_dt=0.02, rtol=1e-9)
-        assert cfg.step_control["initial_dt"] == 1e-3
-        assert cfg.step_control["max_dt"] == 0.02
-        assert cfg.step_control["rtol"] == 1e-9
+        assert flows._STEP_CONTROL == {
+            "initial_dt": 1e-4, "safety": 0.9, "max_dt": 0.05, "rtol": 1e-8, "atol": 1e-12,
+        }
+        assert flows._POSITIVITY_FLOOR == 1e-12
 
 
 class TestHeatFlow:
@@ -183,9 +189,10 @@ class TestNonlinearFlow:
         with pytest.raises(ValidationError):
             run_nonlinear_flow(tilted(RULE3), make_flow_config(fs, 0.1, sample_count=65))
 
-    def test_positivity_floor_abort(self):
+    def test_positivity_floor_abort(self, monkeypatch):
         fs = make_flow_setting(D3P5, 1.2)
-        cfg = make_flow_config(fs, 0.2, sample_count=65, positivity_floor=0.95)
+        cfg = make_flow_config(fs, 0.2, sample_count=65)
+        monkeypatch.setattr(flows, "_POSITIVITY_FLOOR", 0.95)
         with pytest.raises(ConvergenceError):
             run_nonlinear_flow(tilted(RULE3), cfg)
 
@@ -196,7 +203,7 @@ class TestNonlinearFlow:
     def test_step_size_underflow_raises(self):
         # explosive growth keeps every stage positive, so only the error
         # control can reject the step; it does until dt falls below 1e-15
-        sc = make_flow_config(D3P3, 1.0).step_control
+        sc = flows._STEP_CONTROL
         stats = {"accepted_steps": 0, "rejected_steps": 0}
         with pytest.raises(ConvergenceError, match="step size fell"):
             _advance(lambda y: 1.0e20 * y, np.ones(4), 1.0, 0.0, 1.0e-4, sc, 1.0e-12, stats)
@@ -232,7 +239,7 @@ class TestNonlinearFlow:
     def test_positivity_halvings_counted(self):
         # stiff relaxation from a large first step: stages undershoot the
         # floor, the step is halved and the march still reaches the target
-        sc = make_flow_config(D3P3, 1.0).step_control
+        sc = flows._STEP_CONTROL
         stats = {"accepted_steps": 0, "rejected_steps": 0, "positivity_halvings": 0}
         y, t, _, _ = _advance(
             lambda y: -100.0 * (y - 1.0), np.array([0.01, 1.99]), 1.0, 0.0, 0.05, sc,
@@ -532,7 +539,7 @@ class TestCertification:
         with pytest.raises(ValidationError, match="not the trace's point"):
             certify_ode_chain(trace, D3P3)
 
-    @pytest.mark.parametrize("name", ["mass_tol", "rate_tol", "lyapunov_tol", "ode_tol"])
+    @pytest.mark.parametrize("name", ["ode_tol"])
     def test_bad_tolerance_rejected(self, name):
         trace = run_heat_flow(tilted(RULE3), make_flow_config(D3P3, 0.5, sample_count=65))
         for bad in (math.nan, math.inf, -1.0):

@@ -17,6 +17,7 @@ from sphereineq.errors import ValidationError
 from sphereineq.exponents import make_parameter_point, sphere_surface
 from sphereineq.sphere_calculus import AxiFunction, deficit, make_rule
 from sphereineq.stereographic import (
+    _entropy_power,
     axis_moment_log_constant,
     equality_profile,
     equality_profile_second_moment,
@@ -330,6 +331,26 @@ class TestWeightedDeficits:
             v = push_forward(poly_function(rule, random_positive_poly(rng)))
             res = euclidean_deficit(v, "sharper_stability", pp)
             assert res.deficit >= -1e-8
+
+    @pytest.mark.parametrize("p", [1.9995, 2.001])
+    def test_sharper_near_two(self, p):
+        # |theta| = |gamma / (2 - p)| is in the hundreds here, where the
+        # product of powers overflowed with an OverflowError
+        pp = make_parameter_point(3, p)
+        rule = make_rule(3, 48)
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            v = push_forward(poly_function(rule, random_positive_poly(rng)))
+            res = euclidean_deficit(v, "sharper_stability", pp)
+            assert math.isfinite(res.rhs)
+            assert res.deficit >= -1e-8 * max(1.0, abs(res.lhs))
+
+    def test_entropy_power_regroups_only_where_the_product_overflows(self):
+        low = 1.0 - 0.7
+        assert _entropy_power(2.0, 3.0, 5.0, 0.7) == 2.0**low * 3.0**low * 5.0**0.7
+        assert _entropy_power(0.1, 0.1, 1e-2, -440.0) == pytest.approx(1e-2, rel=1e-12)
+        with pytest.raises(ValidationError, match="not finite"):
+            _entropy_power(1.0, 1.0, 1e300, 2.0)
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_sharper_log_branch(self, d):
