@@ -10,16 +10,18 @@ verify      randomized inequality batteries
 klt         randomized Schrodinger spectral-bound battery
 
 Every run writes its data files and one JSON manifest recording the command,
-parameters, seed, tool version, tolerances, output paths, wall-clock time,
-and solver diagnostics where the command has them.  Each cmd_* function
-writes nothing and returns its data files as text; main runs it through
-_run, the one writer, which times it and writes the data files and the
+parameters, tool version, tolerances, output paths, wall-clock time, and
+solver diagnostics where the command has them.  Each cmd_* function writes
+nothing and returns its data files as text, with only the parameters it
+derived from its options; main runs it through _run, the one writer, which
+times it, records every parsed option, and writes the data files and the
 manifest.  Data outputs are byte-deterministic for a fixed command line and
 seed, so reruns can be compared with a plain byte diff; the manifest repeats
 the inputs so any run can be reproduced from it alone.
 
 Exit codes: 0 success, 2 invalid parameters or usage, 3 a certified
-invariant failed, 4 an iterative solver did not converge.
+invariant failed, 4 an iterative solver did not converge or a solver
+process died.
 """
 
 from __future__ import annotations
@@ -157,10 +159,7 @@ def cmd_constants(args) -> tuple[int, str, dict]:
     stem = f"constants_d{args.d}_p{_tag(args.p)}"
     if args.beta is not None:
         stem += f"_b{_tag(args.beta)}"
-    return 0, stem, {
-        "parameters": {"d": args.d, "p": args.p, "beta": args.beta},
-        "files": {f"{stem}.json": _dump_json(table)},
-    }
+    return 0, stem, {"files": {f"{stem}.json": _dump_json(table)}}
 
 
 # ---------------------------------------------------------------------------
@@ -229,16 +228,7 @@ def cmd_figure1(args) -> tuple[int, str, dict]:
     if n_failed:
         print(f"did not converge at {n_failed} of {len(lams)} grid values", file=sys.stderr)
     return 4 if n_failed else 0, stem, {
-        "parameters": {
-            "d": args.d,
-            "p": args.p,
-            "lambda_grid": lams,
-            "n_nodes": args.n_nodes,
-            "restarts": args.restarts,
-            "refine": bool(args.refine),
-            "format": args.format,
-            "columns": descriptions,
-        },
+        "parameters": {"lambda_grid": lams, "columns": descriptions},
         "files": {f"{stem}.{args.format}": text},
         "diagnostics": {
             "lambda": list(curve.lams),
@@ -303,8 +293,7 @@ def cmd_figure2(args) -> tuple[int, str, dict]:
         grids[str(d)] = {
             "p_min": args.p_min, "p_max": float(p_max), "p_step": args.p_step, "count": len(p_grid),
         }
-    parameters = {"d": dims, "grids": grids, "format": "csv"}
-    return 0, "figure2", {"parameters": parameters, "files": files}
+    return 0, "figure2", {"parameters": {"d": dims, "grids": grids}, "files": files}
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +433,7 @@ def cmd_flow(args) -> tuple[int, str, dict]:
         f"final time {repr(float(trace.times[-1]))}, certification {status}"
     )
     return 0 if report.passed else 3, stem, {
-        "parameters": {"config_path": str(args.config), "config": spec},
+        "parameters": {"spec": spec},
         "tolerances": dict(report.tolerances),
         "files": {
             f"{stem}_trace.csv": trace_to_csv(trace),
@@ -633,11 +622,7 @@ def cmd_verify(args) -> tuple[int, str, dict]:
         )
     for entry in skipped:
         print(f"[SKIP] {entry['name']}  {entry['reason']}")
-    return 0 if passed else 3, stem, {
-        "parameters": {"suite": args.suite, "d": args.d, "p": args.p, "n": args.n, "n_nodes": args.n_nodes},
-        "tolerances": {"tol": args.tol},
-        "files": {f"{stem}.json": _dump_json(report)},
-    }
+    return 0 if passed else 3, stem, {"files": {f"{stem}.json": _dump_json(report)}}
 
 
 # ---------------------------------------------------------------------------
@@ -666,18 +651,18 @@ def cmd_klt(args) -> tuple[int, str, dict]:
         passed = passed and rep.violation_count == 0
         mode_reports.append(
             {
-                "sign_mode": rep.sign_mode,
+                "sign_mode": mode,
                 "p": rep.p,
-                "n_samples": rep.n_samples,
+                "n_samples": args.samples,
                 "min_margin": rep.min_margin,
                 "violation_count": rep.violation_count,
             }
         )
         print(
-            f"[{'PASS' if rep.violation_count == 0 else 'FAIL'}] klt {rep.sign_mode}  "
-            f"n={rep.n_samples}  min_margin={repr(float(rep.min_margin))}  vacuous={rep.vacuous_count}"
+            f"[{'PASS' if rep.violation_count == 0 else 'FAIL'}] klt {mode}  "
+            f"n={args.samples}  min_margin={repr(float(rep.min_margin))}  vacuous={rep.vacuous_count}"
         )
-        vacuous[rep.sign_mode] = rep.vacuous_count
+        vacuous[mode] = rep.vacuous_count
 
     report = {
         "command": "klt",
@@ -691,15 +676,6 @@ def cmd_klt(args) -> tuple[int, str, dict]:
     }
     stem = f"klt_d{args.d}_q{_tag(args.q)}_{args.mode}"
     return 0 if passed else 3, stem, {
-        "parameters": {
-            "d": args.d,
-            "q": args.q,
-            "samples": args.samples,
-            "mode": args.mode,
-            "n_nodes": args.n_nodes,
-            "scale": args.scale,
-        },
-        "tolerances": {"tol": args.tol},
         "files": {f"{stem}.json": _dump_json(report)},
         "diagnostics": {"vacuous_count": vacuous},
     }
@@ -795,12 +771,14 @@ def _run(args) -> int:
     exit code.
 
     args.func writes nothing: it returns (exit code, file stem, record), the
-    record holding the data files as {file name: text}, the manifest's
-    parameters, and its tolerances and diagnostics where the command has
-    them.  The output directory is made before the command runs and the files
-    are written, in order, after it returns: an --out-dir that cannot be made
-    is a ValidationError before any work, and a command that raises writes
-    nothing.
+    record holding the data files as {file name: text}, and the parameters
+    it derived from the options, its tolerances and its diagnostics where the
+    command has them.  The manifest's parameters are every parsed option but
+    the command, the function and the output directory, updated with the
+    derived ones.  The output directory is made before the command runs and
+    the files are written, in order, after it returns: an --out-dir that
+    cannot be made is a ValidationError before any work, and a command that
+    raises writes nothing.
     """
     started = time.perf_counter()
     out_dir = Path(args.out_dir or os.environ.get(OUT_DIR_ENV) or ".")
@@ -812,10 +790,10 @@ def _run(args) -> int:
     outputs = [str(out_dir / name) for name in record["files"]]
     for path, text in zip(outputs, record["files"].values()):
         atomic_write_text(path, text)
+    options = {k: v for k, v in vars(args).items() if k not in ("func", "command", "out_dir")}
     manifest = {
         "command": args.command,
-        "parameters": record["parameters"],
-        "seed": getattr(args, "seed", None),
+        "parameters": options | record.get("parameters", {}),
         "tool_version": __version__,
         "tolerances": record.get("tolerances", {}),
         "outputs": outputs,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ValidationError, check_real
 from .exponents import FlowSetting, ParameterPoint
-from .ioutils import atomic_write_text, fmt_float
+from .ioutils import fmt_float
 from .phi_functions import make_phi_beta_quadrature, phi
 from .sphere_calculus import (
     AxiFunction,
@@ -39,7 +39,6 @@ __all__ = [
     "run_heat_flow",
     "run_nonlinear_flow",
     "trace_to_csv",
-    "write_trace",
 ]
 
 
@@ -570,7 +569,3 @@ def trace_to_csv(trace: EntropyTrace) -> str:
             )
         )
     return "\n".join(lines) + "\n"
-
-
-def write_trace(trace: EntropyTrace, path) -> None:
-    atomic_write_text(path, trace_to_csv(trace))

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _scipy_kernels
-from .bounds import _default_lambda_star, afst_constants, antipodal_constant
+from .bounds import afst_constants, antipodal_constant
 from .errors import ValidationError, check_real
 from .exponents import ParameterPoint, _lgamma, validate_dimension
 from .phi_functions import PhiSpec, phi
@@ -253,7 +253,6 @@ class Deficit:
     rhs: float
     deficit: float
     inequality_id: str
-    inputs: dict
 
 
 def _check_moment_free(u: AxiFunction, p: float) -> None:
@@ -342,17 +341,14 @@ def deficit(
     npow, e = _norm_and_entropy(u, p)  # at p = 2, e is half the log entropy
     if npow <= 0.0:
         raise ValidationError(f"{inequality_id} needs a nonzero function")
-    inputs = {"d": u.rule.d, "p": p}
     if inequality_id in ("gns", "log_sobolev"):
         rhs = d * e
     elif inequality_id == "improved_gns":
         rhs = d * npow * phi(pp, e / npow)
     elif inequality_id == "improved_phi":
         rhs = d * npow * phi_spec.value(e / npow)
-        inputs["variant"] = phi_spec.variant
     elif inequality_id == "afst":
         rhs = constant * (p - 2.0) * e
-        inputs["lambda_star"] = _default_lambda_star(pp.d) if lambda_star is None else lambda_star
     else:  # at p = 2 the antipodal constant multiplies the log entropy, 2 e
         rhs = constant * (p - 2.0 if p != 2.0 else 2.0) * e
     return Deficit(
@@ -360,7 +356,6 @@ def deficit(
         rhs=float(rhs),
         deficit=float(i - rhs),
         inequality_id=inequality_id,
-        inputs=inputs,
     )
 
 
@@ -401,10 +396,14 @@ def ckp_distance(u: AxiFunction, p: float) -> tuple[float, float]:
     p = check_real("exponent p", p, 1.0)
     if p == 2.0:
         raise ValidationError("ckp_distance is not defined at p = 2")
-    n22 = lp_norm(u, 2.0) ** 2
+    try:
+        n22, np2 = lp_norm(u, 2.0) ** 2, lp_norm(u, p) ** 2
+    except OverflowError:
+        n22 = np2 = math.inf
+    if not (math.isfinite(n22) and math.isfinite(np2)):
+        raise ValidationError(f"the squared L^p or L^2 norm of u is not finite (p = {p})")
     if n22 <= 0.0:
         raise ValidationError("distance bound needs a nonzero function")
-    np2 = lp_norm(u, p) ** 2
     if p < 2.0:
         ubar_p = np2 ** (p / 2.0)
         inner = u.rule.integrate(

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _scipy_kernels
-from .bounds import _default_lambda_star, afst_constants, axis_moment_log_constant, c_dp
+from .bounds import afst_constants, axis_moment_log_constant, c_dp
 from .errors import ValidationError, check_real
 from .exponents import ParameterPoint, _is_log_branch, sphere_surface
 from .sphere_calculus import (
@@ -204,7 +204,7 @@ def equality_profile_second_moment(d: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_matched_moment(v: RadialEuclideanFunction) -> tuple[float, float]:
+def _check_matched_moment(v: RadialEuclideanFunction) -> None:
     moment = radial_second_moment(v)
     target = equality_profile_second_moment(v.d)
     if abs(moment - target) > _MOMENT_TOL * max(target, 1.0):
@@ -212,7 +212,6 @@ def _check_matched_moment(v: RadialEuclideanFunction) -> tuple[float, float]:
             f"|x|^2-weighted mass {moment:.12g} does not match the equality "
             f"profile value {target:.12g}"
         )
-    return moment, target
 
 
 _FLAT_IDS = (
@@ -292,7 +291,6 @@ def euclidean_deficit(
     if log_form and p != 2.0:
         raise ValidationError("moment_constrained_log requires p = 2")
     d = float(v.d)
-    inputs = {"d": v.d, "p": p}
     if inequality_id.startswith("moment_constrained"):
         if v.d < 3:
             raise ValidationError(
@@ -300,15 +298,12 @@ def euclidean_deficit(
                 "diverges on the equality profile at d = 2"
             )
         _check_moment_free(v.sphere, p)
-        moment, target = _check_matched_moment(v)
+        _check_matched_moment(v)
         if log_form:
             level = axis_moment_log_constant(v.d) if log_constant is None else log_constant
-            inputs["log_constant"] = level = check_real("log_constant", level, 0.0, strict=True)
+            level = check_real("log_constant", level, 0.0, strict=True)
         else:
             constant, _ = afst_constants(pp, lambda_star)
-            level = _default_lambda_star(pp.d) if lambda_star is None else lambda_star
-            inputs["lambda_star"] = level
-        inputs.update(moment=moment, moment_target=target)
     weighted_p, weighted_2, diri = euclidean_norms(v, p)
     if weighted_p <= 0.0 or weighted_2 <= 0.0:
         raise ValidationError(f"{inequality_id} needs a nonzero profile")
@@ -320,7 +315,6 @@ def euclidean_deficit(
     elif inequality_id == "stability":
         gap = pterm - 2.0 ** (2.0 - pp.delta / p) * pp.sphere_volume ** (2.0 / p - 1.0) * weighted_2
         rhs = (pp.gamma / (p - 2.0)) * 0.5 * c_dp(pp) * gap * gap / pterm
-        inputs["gamma"] = pp.gamma
     elif inequality_id == "sharper_stability":
         lhs = diri - d * (d - 2.0) * weighted_2
         if _is_log_branch(pp):
@@ -328,7 +322,6 @@ def euclidean_deficit(
         else:
             power = _entropy_power(pp.kappa_p, pterm, weighted_2, pp.gamma / (2.0 - p))
             rhs = 4.0 * d / (2.0 - p - pp.gamma) * (weighted_2 - power)
-        inputs.update(gamma=pp.gamma, kappa_p=pp.kappa_p)
     elif not log_form:
         gap = 2.0 ** (pp.delta / p) * pp.sphere_volume ** (1.0 - 2.0 / p) * pterm - 4.0 * weighted_2
         lhs -= c_dp(pp) * pterm
@@ -341,5 +334,4 @@ def euclidean_deficit(
         rhs=float(rhs),
         deficit=float(lhs - rhs),
         inequality_id=inequality_id,
-        inputs=inputs,
     )

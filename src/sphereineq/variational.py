@@ -25,7 +25,7 @@ from .bounds import (
     mu_lower_prop34,
     mu_lower_thm2,
 )
-from .errors import ValidationError, check_real
+from .errors import ConvergenceError, ValidationError, check_real
 from .exponents import ParameterPoint, make_parameter_point
 from .sphere_calculus import (
     AxiFunction,
@@ -321,7 +321,7 @@ def _start_points(n: int, restarts: int, seed: int) -> list:
 def _solve(pp: ParameterPoint, values, seeds, node_count, restarts, max_iters):
     """best_constant at each (value, seed), with every start of every value
     in one ordered pass over a worker pool of this solve; returns (results,
-    workers)."""
+    workers).  A worker that dies raises ConvergenceError."""
     if node_count < 8:
         raise ValidationError(f"node_count must be >= 8, got {node_count}")
     if restarts < 0:
@@ -342,11 +342,20 @@ def _solve(pp: ParameterPoint, values, seeds, node_count, restarts, max_iters):
         descents = list(map(_run_start, tasks))
     else:
         import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         _scipy_kernels.setulb()  # loaded here once, not again in every worker
-        # leaving the block ends the workers on every path, queued tasks too
-        with multiprocessing.get_context("fork").Pool(workers, initializer=_start_worker) as pool:
-            descents = list(pool.imap(_run_start, tasks, chunksize=1))
+        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _start_worker)
+        # the pool is joined on every path: on an error, Ctrl-C included, the
+        # queued descents are cancelled and the running ones finish, since
+        # the workers ignore SIGINT
+        try:
+            descents = list(pool.map(_run_start, tasks))
+        except BrokenProcessPool as exc:
+            raise ConvergenceError(f"a solver process died: {exc}") from None
+        finally:
+            pool.shutdown(cancel_futures=True)
     per_value = len(starts[0])
     results = [
         _best_of(model, descents[k * per_value : (k + 1) * per_value])
@@ -416,7 +425,6 @@ class SweepCurve:
     result; workers is the number of processes that ran the descents.
     """
 
-    pp: ParameterPoint
     lams: tuple
     numeric: tuple
     thm2: tuple
@@ -454,7 +462,6 @@ def bound_curve_sweep(
     if fast_range:
         prop34 = tuple(mu_lower_prop34(pp, lam) if lam >= 1.0 else math.nan for lam in lams)
     return SweepCurve(
-        pp=pp,
         lams=tuple(lams),
         numeric=tuple(r.value for r in results),
         thm2=tuple(thm2),
@@ -503,17 +510,11 @@ class KLTReport:
     """Margin summary for the eigenvalue lower bounds over sampled potentials;
     vacuous_count samples got no bound (lambda_bar = inf, margin inf)."""
 
-    d: int
-    q: float
     p: float
-    sign_mode: str
-    n_samples: int
     margins: tuple
     min_margin: float
     violation_count: int
     vacuous_count: int
-    tolerance: float
-    seed: int
 
 
 def klt_validate(
@@ -584,15 +585,9 @@ def klt_validate(
         if margin < -tolerance:
             violations += 1
     return KLTReport(
-        d=d,
-        q=float(q),
         p=p,
-        sign_mode=sign_mode,
-        n_samples=int(n_samples),
         margins=tuple(margins),
         min_margin=float(min(margins)),
         violation_count=violations,
         vacuous_count=margins.count(math.inf),
-        tolerance=float(tolerance),
-        seed=int(seed),
     )

@@ -419,8 +419,8 @@ def test_schrodinger_bound_battery():
                      tolerance=1e-8, seed=425)
         for mode in ("minus_V", "plus_V")
     ]
-    for rep in reports:
-        assert rep.violation_count == 0, rep.sign_mode
+    for mode, rep in zip(("minus_V", "plus_V"), reports):
+        assert rep.violation_count == 0, mode
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0
     print(

@@ -1,5 +1,5 @@
 """Public-surface hygiene: every exported name exists, no import goes unused,
-no private module-level name goes unread.
+no private module-level name goes unread, and only the CLI writes files.
 
 The checks use only the standard library, so they also catch leftovers of a
 deletion (a stale __all__ entry, an import only the deleted code needed)
@@ -108,6 +108,19 @@ def test_checker_flags_an_unread_private_name():
         "b": "from .a import _helper\nfrom . import a\na._by_attribute()\n",
     }
     assert unread_private_names(sources) == ["a._Dead (line 5)", "a._UNREAD (line 2)"]
+
+
+def test_only_the_cli_writes_files():
+    # cli._run is the one writer of data files and manifests
+    callers = set()
+    for stem in MODULES:
+        for node in ast.walk(ast.parse((SRC / f"{stem}.py").read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "atomic_write_text":
+                    callers.add(stem)
+    assert callers == {"cli"}
 
 
 def test_log_constant_is_reexported_not_copied():

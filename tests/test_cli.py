@@ -60,7 +60,7 @@ class TestConstants:
         assert manifest["command"] == "constants"
         assert manifest["tool_version"] == __version__
         assert manifest["outputs"] == [str(tmp_path / "constants_d3_p3.json")]
-        assert manifest["seed"] is None
+        assert manifest["parameters"] == {"d": 3, "p": 3.0, "beta": None}
         assert manifest["wall_clock_seconds"] >= 0.0
 
     def test_one_dimensional_thresholds(self, tmp_path):
@@ -143,7 +143,7 @@ class TestFigure1:
         assert mid[1] <= 1.5 + 1e-9
 
         manifest = load_json(tmp_path / "figure1_d3_p3_manifest.json")
-        assert manifest["seed"] == 1
+        assert manifest["parameters"]["seed"] == 1
         assert manifest["parameters"]["lambda_grid"] == [0.5, 1.5]
         assert set(manifest["parameters"]["columns"]) == {
             "lambda", "numeric_mu", "thm2", "prop34", "identity", "converged",
@@ -531,6 +531,13 @@ class TestVerify:
         report = load_json(tmp_path / "verify_ckp_d3_p3.json")
         assert report["passed"] is False
 
+    def test_overflowing_norms_exit_2_not_3(self, tmp_path, capsys):
+        # |u|_2^2 overflows at d = 177: the nan margin read as a failed bound
+        argv = ["verify", "ckp", "--d", "177", "--p", "2.0001933556760054", "--n", "1"]
+        assert run_cli(*argv, "--out-dir", str(tmp_path)) == 2
+        assert "norm of u is not finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             run_cli("verify")
@@ -600,11 +607,7 @@ class TestKLT:
         assert "exponent q must be finite" in capsys.readouterr().err
 
     def test_violation_exits_3(self, tmp_path, monkeypatch):
-        fake = KLTReport(
-            d=3, q=3.0, p=3.0, sign_mode="minus_V", n_samples=1,
-            margins=(-1.0,), min_margin=-1.0, violation_count=1, vacuous_count=0,
-            tolerance=1e-8, seed=0,
-        )
+        fake = KLTReport(p=3.0, margins=(-1.0,), min_margin=-1.0, violation_count=1, vacuous_count=0)
         monkeypatch.setattr("sphereineq.variational.klt_validate", lambda *a, **k: fake)
         code = run_cli(
             "klt", "--d", "3", "--q", "3", "--samples", "1", "--mode", "minus_V",
@@ -614,8 +617,7 @@ class TestKLT:
 
 
 MANIFEST_KEYS = [
-    "command", "parameters", "seed", "tool_version", "tolerances", "outputs",
-    "wall_clock_seconds", "diagnostics",
+    "command", "parameters", "tool_version", "tolerances", "outputs", "wall_clock_seconds", "diagnostics",
 ]
 
 # one small run per subcommand: (argv, manifest stem)
@@ -667,6 +669,19 @@ def test_manifest_lists_outputs_that_rerun_byte_identical(command, tmp_path, cap
     assert run_cli(*argv, "--out-dir", str(tmp_path / "b")) == 0
     for path in outputs:
         assert (tmp_path / "b" / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+@pytest.mark.parametrize("command", list(SMALL_RUNS))
+def test_manifest_records_every_parsed_option(command, tmp_path):
+    # each option under its own name, with the value the command derived from it, if any
+    argv, stem = SMALL_RUNS[command]
+    args = cli.build_parser().parse_args(argv)
+    derived = args.func(args)[2].get("parameters", {})
+    assert run_cli(*argv, "--out-dir", str(tmp_path)) == 0
+    recorded = load_json(tmp_path / f"{stem}_manifest.json")["parameters"]
+    for key, value in vars(args).items():
+        if key not in ("func", "command", "out_dir"):
+            assert recorded[key] == cli._jsonable(derived.get(key, value)), key
 
 
 @pytest.mark.parametrize("command", list(SMALL_RUNS))
@@ -810,6 +825,8 @@ def _command_lines(draw):
 @example((["verify", "euclidean", "--d", "3", "--p", "2.001", "--n", "2"], None), False)
 # |u|_p^2 overflowed at d = 10^4
 @example((["verify", "gns", "--d", "10000", "--p", "1.0", "--n", "2"], None), False)
+# |u|_2^2 overflowed in ckp_distance, and the nan margin exited 3
+@example((["verify", "ckp", "--d", "177", "--p", "2.0001933556760054", "--n", "1"], None), False)
 def test_every_failure_exits_with_a_documented_code(run, out_under_file):
     argv, config = run
     with tempfile.TemporaryDirectory() as tmp:

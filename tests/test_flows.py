@@ -21,7 +21,6 @@ from sphereineq.flows import (
     run_heat_flow,
     run_nonlinear_flow,
     trace_to_csv,
-    write_trace,
 )
 from sphereineq.sphere_calculus import AxiFunction, dirichlet, make_rule
 
@@ -548,7 +547,7 @@ class TestCertification:
 
 
 class TestExport:
-    def test_csv_round_trip(self, tmp_path):
+    def test_csv_round_trip(self):
         trace = run_heat_flow(tilted(RULE3), make_flow_config(D3P3, 0.5, sample_count=65))
         text = trace_to_csv(trace)
         lines = text.strip().split("\n")
@@ -557,6 +556,3 @@ class TestExport:
         row = [float(x) for x in lines[1].split(",")]
         assert row[0] == 0.0
         assert math.isclose(row[1], trace.e[0], rel_tol=1e-15)
-        path = tmp_path / "trace.csv"
-        write_trace(trace, path)
-        assert path.read_text() == text

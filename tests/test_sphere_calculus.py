@@ -531,6 +531,14 @@ class TestDistanceBound:
         with pytest.raises(ValidationError, match="needs a nonzero function"):
             ckp_distance(zero, p)
 
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_overflowing_norm_rejected(self, p):
+        # u^2 overflows: the bound and the gap were nan
+        huge = AxiFunction(make_rule(3, 16), values=np.full(16, 1e200))
+        with pytest.raises(ValidationError, match="norm of u is not finite"):
+            with np.errstate(over="ignore"):
+                ckp_distance(huge, p)
+
 
 def ckp_quotient(t, q):
     """(t^q - 1 - q(t-1)) / nu_q(t - 1), with nu_q(s) = s^2 for s <= 1 and s^q above.

@@ -405,7 +405,6 @@ class TestMomentConstrained:
             v = moment_matched(push_forward(even_positive(rng, rule)))
             res = euclidean_deficit(v, "moment_constrained", pp)
             assert res.deficit >= -1e-8
-            assert res.inputs["lambda_star"] == pytest.approx(3.0 * (1.0 + 1e-6))
 
     @pytest.mark.parametrize("d", [3, 5])
     def test_log_form_battery(self, d):
@@ -415,9 +414,6 @@ class TestMomentConstrained:
             v = moment_matched(push_forward(even_positive(rng, rule)))
             res = euclidean_deficit(v, "moment_constrained_log", None)
             assert res.deficit >= -1e-8
-            assert res.inputs["log_constant"] == pytest.approx(
-                axis_moment_log_constant(d)
-            )
 
     def test_log_constant_matches_companion(self):
         pp = make_parameter_point(3, 3.0)

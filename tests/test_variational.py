@@ -332,9 +332,10 @@ class TestSweep:
             bound_curve_sweep(D3P15, [1.0])
 
 
-def run_fresh_python(code: str, **env_changes) -> subprocess.CompletedProcess:
+def run_fresh_python(code: str, timeout: float = 300, **env_changes) -> subprocess.CompletedProcess:
     """`python -c code` with this package on the path, BLAS threads as the
-    caller left them unless env_changes say otherwise (None removes a name)."""
+    caller left them unless env_changes say otherwise (None removes a name),
+    killed after timeout seconds."""
     src = str(Path(variational.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     for name, value in env_changes.items():
@@ -343,7 +344,7 @@ def run_fresh_python(code: str, **env_changes) -> subprocess.CompletedProcess:
         else:
             env[name] = value
     return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300,
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=timeout,
     )
 
 
@@ -353,6 +354,25 @@ def solve_value(value: float) -> float:
 
 def failing_start(task):
     return 1 / 0
+
+
+# Runs in a fresh interpreter: a figure1 run on two forked workers, whose
+# descents from the constant start kill their worker
+_KILLED_WORKER = """
+import json, multiprocessing, os, time
+from sphereineq import cli, variational
+os.sched_getaffinity = lambda pid: {0, 1}  # two workers on any machine
+run_start = variational._run_start
+def die_at_the_constant_start(task):
+    if not task[3].any():
+        os._exit(1)
+    return run_start(task)
+variational._run_start = die_at_the_constant_start
+started = time.perf_counter()
+code = cli.main(["figure1", "--lambda-grid", "1.5", "2", "--n-nodes", "24", "--restarts", "2",
+                 "--out-dir", %r])
+print(json.dumps([code, time.perf_counter() - started, len(multiprocessing.active_children())]))
+"""
 
 
 # Runs in a fresh interpreter: best_constant on one CPU, hence serially
@@ -438,6 +458,16 @@ class TestWorkerPool:
         assert multiprocessing.active_children() == []
         monkeypatch.undo()
         assert solve_value(2.0) == expected
+
+    def test_dead_worker_exits_4_within_seconds(self, tmp_path):
+        # a pool whose worker died once waited for its result forever
+        run = run_fresh_python(_KILLED_WORKER % str(tmp_path), timeout=60)
+        assert run.returncode == 0, run.stderr
+        code, elapsed, children = json.loads(run.stdout.splitlines()[-1])
+        assert (code, children) == (4, 0)
+        assert elapsed < 30.0
+        assert "did not converge: a solver process died" in run.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_pool_is_capped_at_the_task_count(self, monkeypatch):
         # restarts=0 gives one value three starts: with 8 CPUs, 3 workers
