@@ -195,7 +195,7 @@ _FIGURE1_COLUMNS = {
     "identity": (lambda c: c.lams, "reference line mu = lambda, attained by constant functions"),
     "converged": (
         lambda c: [int(f) for f in c.converged],
-        "solver flag, 1 when every restart at this grid value converged",
+        "solver flag, 1 when the best start at this grid value converged",
     ),
 }
 
@@ -236,6 +236,8 @@ def cmd_figure1(args) -> tuple[int, str, dict]:
             "start_values": list(curve.start_values),
             "start_iterations": list(curve.start_iterations),
             "clipped_starts": list(curve.clipped_starts),
+            "newton_steps": list(curve.newton_steps),
+            "hessian_min": list(curve.hessian_min),
             "converged": list(curve.converged),
             "workers": curve.workers,
         },

@@ -3,11 +3,12 @@
 best_constant minimizes the two interpolation quotients over positive
 axisymmetric profiles by line-searched quasi-Newton descent on the
 coefficients of log u (positivity for free, analytic gradients from
-quadrature sums), giving the true constant mu(lambda) for p > 2 (and
-lambda(mu) for p < 2) up to discretization.  principal_eigenvalue solves the
-dense Galerkin eigenproblem for -Lap -/+ V on the axisymmetric sector, and
-klt_validate checks the eigenvalue lower bounds derived from the
-interpolation family against sampled potentials.
+quadrature sums), finished by Newton's method where it stalls, giving
+the true constant mu(lambda) for p > 2 (and lambda(mu) for p < 2) up to
+discretization.  principal_eigenvalue solves the dense Galerkin
+eigenproblem for -Lap -/+ V on the axisymmetric sector, and klt_validate
+checks the eigenvalue lower bounds derived from the interpolation family
+against sampled potentials.
 """
 
 from __future__ import annotations
@@ -53,10 +54,16 @@ __all__ = [
 class BestConstantResult:
     """Best quotient value found, its argmin, and solver diagnostics.
 
-    iterations is the L-BFGS iteration count over all starts, start_values
-    and start_iterations the quotient value and iteration count of each
-    start in order, and clipped_starts the number of starts whose final
-    log-profile reached the clip at +-40.
+    converged holds for the best start: its value plateaued within two
+    L-BFGS rounds, or the Newton finish reached a gradient norm below 1e-10
+    at a positive definite projected Hessian.  iterations is the L-BFGS
+    iteration count over all starts, start_values, start_iterations and
+    newton_steps the quotient value, L-BFGS iteration count and Newton step
+    count of each start in order (0 steps for a start that plateaued),
+    clipped_starts the number of starts whose final log-profile reached the
+    clip at +-40, and hessian_min the lowest eigenvalue at the minimizer of
+    the Hessian in the log-profile coefficients, the flat scale direction
+    left out.
     """
 
     value: float
@@ -66,6 +73,8 @@ class BestConstantResult:
     start_values: tuple
     start_iterations: tuple
     clipped_starts: int
+    newton_steps: tuple
+    hessian_min: float
 
 
 # log u is clipped to [-40, 40]; 0-d arrays skip the per-call conversion of
@@ -200,15 +209,81 @@ def _lbfgsb(fun_and_grad, x0: np.ndarray, max_iters: int):
     return x, f, nit, bool(task[0] == 4)
 
 
-def _descend(model: _QuotientModel, c0: np.ndarray, max_iters: int):
-    """Quasi-Newton descent on the quotient; returns (value, c, converged, iters).
+# Newton finish: the difference step of the Hessian, the gradient norm that
+# ends it, its step cap, and the Armijo constant and backtracking floor
+_HESSIAN_STEP = 1.0e-6
+_NEWTON_GTOL = 1.0e-10
+_NEWTON_MAX_STEPS = 20
+_ARMIJO_C1 = 1.0e-4
+_ARMIJO_MIN_STEP = 2.0**-20
 
-    Plain gradient steps stall in the nearly-flat valleys of this quotient
-    (thousands of iterations leave errors of order 1e-1 at lambda = 5), so
-    the line-searched limited-memory BFGS engine is used with the analytic
-    gradient, restarted with a fresh curvature memory until the value
-    plateaus.  The quotient is scale invariant, which leaves one exactly flat
-    direction; the final normalization removes it from the reported argmin.
+
+def _projected_hessian(fun_and_grad, y: np.ndarray) -> np.ndarray:
+    """Hessian on y[1:] by central differences of the analytic gradient,
+    symmetrized.  y[0], the constant mode, is left out: the quotient is
+    scale invariant, so it is an exactly flat direction."""
+    n = y.size
+    h = np.empty((n - 1, n - 1))
+    x = y.copy()
+    for i in range(1, n):
+        x[i] = y[i] + _HESSIAN_STEP
+        g_plus = fun_and_grad(x)[1]
+        x[i] = y[i] - _HESSIAN_STEP
+        g_minus = fun_and_grad(x)[1]
+        x[i] = y[i]
+        h[i - 1] = (g_plus[1:] - g_minus[1:]) / (2.0 * _HESSIAN_STEP)
+    return 0.5 * (h + h.T)
+
+
+def _newton(fun_and_grad, y: np.ndarray):
+    """Newton with Armijo backtracking on y[1:]; returns (y, converged, steps).
+
+    Converged means a gradient norm below _NEWTON_GTOL at a positive definite
+    projected Hessian.  A Hessian that is not positive definite, a failed line
+    search or the step cap end it unconverged at its best point; the Armijo
+    test takes a step only where the value drops.
+    """
+    f, g = fun_and_grad(y)
+    steps = 0
+    while True:
+        hess = _projected_hessian(fun_and_grad, y)
+        try:
+            np.linalg.cholesky(hess)
+        except np.linalg.LinAlgError:
+            return y, False, steps
+        if np.linalg.norm(g[1:]) < _NEWTON_GTOL:
+            return y, True, steps
+        if steps == _NEWTON_MAX_STEPS:
+            return y, False, steps
+        direction = np.linalg.solve(hess, -g[1:])
+        slope = float(g[1:] @ direction)
+        t = 1.0
+        while True:
+            trial = y.copy()
+            trial[1:] += t * direction
+            f_trial, g_trial = fun_and_grad(trial)
+            if f_trial <= f + _ARMIJO_C1 * t * slope:
+                break
+            t *= 0.5
+            if t < _ARMIJO_MIN_STEP:
+                return y, False, steps
+        y, f, g = trial, f_trial, g_trial
+        steps += 1
+
+
+def _descend(model: _QuotientModel, c0: np.ndarray, max_iters: int):
+    """Descent on the quotient; returns (value, c, converged, iters, newton_steps).
+
+    Plain gradient steps stall in the nearly-flat valleys of this quotient,
+    so up to two rounds of the line-searched limited-memory BFGS engine run
+    with the analytic gradient, the second with a fresh curvature memory; a
+    start whose value plateaus within them ends there, converged.  Where
+    L-BFGS has not plateaued (at (3, 3) with 48 nodes the Hessian's lowest
+    eigenvalue falls as lambda grows, to 6.5e-6 at lambda = 5, where L-BFGS
+    stalls for tens of thousands of iterations), Newton finishes the descent
+    from the L-BFGS endpoint (_newton).  The quotient is scale
+    invariant, which leaves one exactly flat direction; the final
+    normalization removes it from the reported argmin.
     """
     # optimize in spectrally rescaled variables: without this the high-mode
     # stiffness leaves errors of order 1e-3 after thousands of iterations
@@ -222,18 +297,26 @@ def _descend(model: _QuotientModel, c0: np.ndarray, max_iters: int):
     y = model.normalize(c0) / scale
     nit = 0
     prev = math.inf
-    converged = False
-    for _ in range(6):
-        y, fun, round_iters, success = _lbfgsb(rescaled, y, max_iters)
+    converged, newton_steps = False, 0
+    for _ in range(2):
+        y, fun, round_iters, _ = _lbfgsb(rescaled, y, max_iters)
         nit += round_iters
         if prev - fun < 1.0e-13 * max(1.0, abs(fun)):
             converged = True
             break
         prev = fun
+    else:
+        y, converged, newton_steps = _newton(rescaled, y)
     c = model.normalize(y * scale)
     q, _ = model.quotient_and_gradient(c)
-    converged = converged or success
-    return float(q), c, converged, nit
+    return float(q), c, converged, nit, newton_steps
+
+
+def _hessian_min(model: _QuotientModel, c: np.ndarray) -> float:
+    """Lowest eigenvalue of the projected Hessian at c, in the log-profile
+    coefficients: negative at a saddle, and small where the valley is nearly
+    flat (6.5e-6 at the (3, 3) minimizer for lambda = 5 with 48 nodes)."""
+    return float(np.linalg.eigvalsh(_projected_hessian(model.quotient_and_gradient, c))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +450,7 @@ def _solve(pp: ParameterPoint, values, seeds, node_count, restarts, max_iters):
 def _best_of(model: _QuotientModel, runs) -> BestConstantResult:
     """The lowest of the descents, the first one on ties, with their counters."""
     best = None
-    for q, c, converged, _ in runs:
+    for q, c, converged, _, _ in runs:
         if best is None or q < best[0]:
             best = (q, c, converged)
     q, c, converged = best
@@ -381,6 +464,8 @@ def _best_of(model: _QuotientModel, runs) -> BestConstantResult:
         start_values=tuple(float(run[0]) for run in runs),
         start_iterations=start_iterations,
         clipped_starts=sum(model.touches_clip(run[1]) for run in runs),
+        newton_steps=tuple(int(run[4]) for run in runs),
+        hessian_min=_hessian_min(model, c),
     )
 
 
@@ -420,9 +505,10 @@ def best_constant(
 class SweepCurve:
     """Numeric optimal constant across a grid with the analytic lower bounds.
 
-    converged, iterations, start_values, start_iterations and clipped_starts
-    hold, per grid value, the fields of that name of its best_constant
-    result; workers is the number of processes that ran the descents.
+    converged, iterations, start_values, start_iterations, clipped_starts,
+    newton_steps and hessian_min hold, per grid value, the fields of that
+    name of its best_constant result; workers is the number of processes
+    that ran the descents.
     """
 
     lams: tuple
@@ -434,6 +520,8 @@ class SweepCurve:
     start_values: tuple
     start_iterations: tuple
     clipped_starts: tuple
+    newton_steps: tuple
+    hessian_min: tuple
     workers: int
 
 
@@ -471,6 +559,8 @@ def bound_curve_sweep(
         start_values=tuple(r.start_values for r in results),
         start_iterations=tuple(r.start_iterations for r in results),
         clipped_starts=tuple(r.clipped_starts for r in results),
+        newton_steps=tuple(r.newton_steps for r in results),
+        hessian_min=tuple(r.hessian_min for r in results),
         workers=workers,
     )
 

@@ -231,7 +231,23 @@ class TestFigure1:
         assert [len(iters) for iters in solver["start_iterations"]] == [5, 5]
         assert [sum(iters) for iters in solver["start_iterations"]] == solver["iterations"]
         assert solver["clipped_starts"] == [0, 0]
+        assert solver["newton_steps"] == [[0] * 5, [0] * 5]
+        assert len(solver["hessian_min"]) == 2 and all(h > 0.0 for h in solver["hessian_min"])
         assert solver["workers"] == len(os.sched_getaffinity(0))
+
+    def test_large_lambda_rows_converge(self, tmp_path):
+        # the rows of the default grid that L-BFGS alone left unconverged,
+        # which the Newton finish completes
+        code = run_cli(
+            "figure1", "--d", "3", "--p", "3", "--lambda-grid", "4.5", "4.75", "5",
+            "--restarts", "2", "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        _, rows = read_csv_rows(tmp_path / "figure1_d3_p3.csv")
+        assert [row[5] for row in rows] == ["1", "1", "1"]
+        solver = load_json(tmp_path / "figure1_d3_p3_manifest.json")["diagnostics"]
+        assert all(any(steps) for steps in solver["newton_steps"])
+        assert all(0.0 < h < 1e-4 for h in solver["hessian_min"])
 
     def test_bad_grid_exits_2(self, tmp_path):
         assert run_cli(

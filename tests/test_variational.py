@@ -289,6 +289,52 @@ class TestBestConstant:
         assert result.value == min(result.start_values)
         assert len(result.start_values) == 3 + 3
         assert result.minimizer.is_positive
+        assert result.newton_steps == (0,) * 6
+        # at the constant: 2 (p - 2)(1 - lambda), along Y_1
+        assert result.hessian_min == pytest.approx(1.0, rel=1e-6)
+
+    def test_lam5_converges_at_the_benchmark_op(self):
+        # the benchmark's lambda = 5 op: grid index 3 of figure1 at the CLI defaults
+        curve = bound_curve_sweep(D3P3, [5.0], seed=3)
+        assert curve.converged == (True,)
+        assert abs(curve.numeric[0] - 2.920434682280537) < 1e-7
+        assert any(curve.newton_steps[0])
+        assert 0.0 < curve.hessian_min[0] < 1e-4
+
+
+class TestNewtonFinish:
+    def test_saddle_is_not_converged(self):
+        # the constant profile is a critical point at every lambda; at
+        # lambda = 2 the Hessian along Y_1 is 2 (p - 2)(1 - lambda) = -2
+        model = _QuotientModel(D3P3, 2.0, 48)
+        c = model.normalize(np.zeros(48))
+        y, converged, steps = variational._newton(model.quotient_and_gradient, c)
+        assert not converged
+        assert steps == 0
+        assert np.array_equal(y, c)
+        assert variational._hessian_min(model, c) == pytest.approx(-2.0, rel=1e-6)
+
+    @pytest.mark.parametrize("lam,seed", [(3.5, 2), (5.0, 3)])
+    def test_finish_never_rises_above_the_lbfgs_endpoint(self, monkeypatch, lam, seed):
+        model = _QuotientModel(D3P3, lam, 48)
+        scale = 1.0 / np.sqrt(1.0 + model.eigs)  # the descent's variables
+        newton = variational._newton
+        endpoints = []
+
+        def recording_newton(fun_and_grad, y):
+            endpoints.append(y.copy())
+            return newton(fun_and_grad, y)
+
+        monkeypatch.setattr(variational, "_newton", recording_newton)
+        for c0 in variational._start_points(48, 2, seed):
+            count = len(endpoints)
+            q, c, converged, _, steps = variational._descend(model, c0, 1500)
+            if len(endpoints) == count:  # plateaued within two rounds
+                assert converged and steps == 0
+                continue
+            endpoint = model.normalize(endpoints[-1] * scale)
+            assert q <= model.quotient_and_gradient(endpoint)[0]
+        assert len(endpoints) >= 2  # the two mode-1 tilts stall at both values
 
 
 class TestSweep:
@@ -325,6 +371,9 @@ class TestSweep:
             assert sum(curve.start_iterations[k]) == curve.iterations[k]
             assert len(curve.start_iterations[k]) == len(curve.start_values[k])
             assert curve.clipped_starts[k] == result.clipped_starts == 0
+            assert curve.newton_steps[k] == result.newton_steps
+            assert len(curve.newton_steps[k]) == len(curve.start_values[k])
+            assert curve.hessian_min[k] == result.hessian_min > 0.0
         assert curve.workers == len(os.sched_getaffinity(0))
 
     def test_p_below_two_rejected(self):
