@@ -55,15 +55,16 @@ class BestConstantResult:
     """Best quotient value found, its argmin, and solver diagnostics.
 
     converged holds for the best start: its value plateaued within two
-    L-BFGS rounds, or the Newton finish reached a gradient norm below 1e-10
-    at a positive definite projected Hessian.  iterations is the L-BFGS
-    iteration count over all starts, start_values, start_iterations and
-    newton_steps the quotient value, L-BFGS iteration count and Newton step
-    count of each start in order (0 steps for a start that plateaued),
-    clipped_starts the number of starts whose final log-profile reached the
-    clip at +-40, and hessian_min the lowest eigenvalue at the minimizer of
-    the Hessian in the log-profile coefficients, the flat scale direction
-    left out.
+    L-BFGS rounds whose first stopped below max_iters, or the Newton finish
+    reached a gradient norm below 1e-10 at a positive definite projected
+    Hessian within its step cap.  iterations is the L-BFGS iteration count
+    over all starts, start_values, start_iterations and newton_steps the
+    quotient value, L-BFGS iteration count (max_iters for a start handed to
+    Newton at the cap) and Newton step count of each start in order (0 steps
+    for a start that plateaued), clipped_starts the number of starts whose
+    final log-profile reached the clip at +-40, and hessian_min the lowest
+    eigenvalue at the minimizer of the Hessian in the log-profile
+    coefficients, the flat scale direction left out.
     """
 
     value: float
@@ -84,7 +85,7 @@ _LOG_U_MAX = np.array(40.0)
 
 
 class _QuotientModel:
-    """Quotient and analytic gradient in log-profile coefficient space."""
+    """Quotient, analytic gradient and Hessian in log-profile coefficient space."""
 
     def __init__(self, pp: ParameterPoint, value: float, node_count: int):
         self.rule = make_rule(pp.d, node_count)
@@ -148,6 +149,38 @@ class _QuotientModel:
         d_num /= den
         return q, d_num
 
+    def hessian(self, c: np.ndarray) -> np.ndarray:
+        """Exact Hessian of the quotient q = N / D in c, from the quadrature
+        sums of quotient_and_gradient; like the gradient, it ignores the clip.
+        Differentiating q D = N twice gives
+        q'' = (N'' - q D'' - q' D'^T - D' q'^T) / D."""
+        p, b = self.pp.p, self.basis
+
+        def gram(x):  # B^T diag(x) B
+            return b.T @ (x[:, None] * b)
+
+        q, d_q = self.quotient_and_gradient(c)
+        u = self.profile(c)
+        wu = self.weights * u
+        j = gram(wu)
+        # the energy term is uhat^T Lambda uhat with uhat = B^T (w u) and J = d uhat
+        h_energy = 2.0 * ((j * self.eigs) @ j) + 2.0 * gram(wu * (b @ (self.eigs * (b.T @ wu))))
+        wu2, wup = wu * u, self.weights * u**p
+        h_s2 = 4.0 * gram(wu2)
+        p_mass = float(wup.sum())
+        g_p = b.T @ wup
+        h_sp = (2.0 - p) * np.outer(g_p, g_p) + p * p_mass * gram(wup)
+        h_sp *= 2.0 * p_mass ** (2.0 / p - 2.0)
+        if self.mu_mode:
+            h_num = self.energy_coef * h_energy + self.coef * h_s2
+            d_sp = 2.0 * p_mass ** (2.0 / p - 1.0) * g_p
+            den, d_den, h_den = p_mass ** (2.0 / p), d_sp, h_sp
+        else:
+            h_num = self.energy_coef * h_energy + self.coef * h_sp
+            den, d_den, h_den = float(wu2.sum()), 2.0 * (b.T @ wu2), h_s2
+        cross = np.outer(d_q, d_den)
+        return (h_num - q * h_den - cross - cross.T) / den
+
 
 # L-BFGS-B settings of every descent round: memory, the relative-decrease
 # tolerance ftol = 1e-17 expressed as a multiple of the machine epsilon (the
@@ -209,53 +242,41 @@ def _lbfgsb(fun_and_grad, x0: np.ndarray, max_iters: int):
     return x, f, nit, bool(task[0] == 4)
 
 
-# Newton finish: the difference step of the Hessian, the gradient norm that
-# ends it, its step cap, and the Armijo constant and backtracking floor
-_HESSIAN_STEP = 1.0e-6
+# Newton finish: the gradient norm that ends it, its step cap, the floor on
+# the modified step's eigenvalues relative to the largest, and the Armijo
+# constant and backtracking floor
 _NEWTON_GTOL = 1.0e-10
 _NEWTON_MAX_STEPS = 20
+_NEWTON_EIG_FLOOR = 1.0e-8
 _ARMIJO_C1 = 1.0e-4
 _ARMIJO_MIN_STEP = 2.0**-20
 
 
-def _projected_hessian(fun_and_grad, y: np.ndarray) -> np.ndarray:
-    """Hessian on y[1:] by central differences of the analytic gradient,
-    symmetrized.  y[0], the constant mode, is left out: the quotient is
-    scale invariant, so it is an exactly flat direction."""
-    n = y.size
-    h = np.empty((n - 1, n - 1))
-    x = y.copy()
-    for i in range(1, n):
-        x[i] = y[i] + _HESSIAN_STEP
-        g_plus = fun_and_grad(x)[1]
-        x[i] = y[i] - _HESSIAN_STEP
-        g_minus = fun_and_grad(x)[1]
-        x[i] = y[i]
-        h[i - 1] = (g_plus[1:] - g_minus[1:]) / (2.0 * _HESSIAN_STEP)
-    return 0.5 * (h + h.T)
+def _newton(fun_and_grad, hessian, y: np.ndarray):
+    """Modified Newton with Armijo backtracking on y[1:]; returns (y,
+    converged, steps).
 
-
-def _newton(fun_and_grad, y: np.ndarray):
-    """Newton with Armijo backtracking on y[1:]; returns (y, converged, steps).
-
-    Converged means a gradient norm below _NEWTON_GTOL at a positive definite
-    projected Hessian.  A Hessian that is not positive definite, a failed line
-    search or the step cap end it unconverged at its best point; the Armijo
-    test takes a step only where the value drops.
+    y[0], the constant mode, is left out: the quotient is scale invariant,
+    so it is an exactly flat direction.  Each step solves with the projected
+    Hessian's eigenvalues replaced by max(|lambda_i|, 1e-8 max |lambda|), a
+    descent direction where the Hessian is indefinite (Nocedal & Wright,
+    Numerical Optimization, 2006, section 3.4).  Converged means a gradient
+    norm below _NEWTON_GTOL at a positive definite projected Hessian; a
+    critical point where it is not (a saddle), a failed line search or the
+    step cap end it unconverged at its best point.  The Armijo test takes a
+    step only where the value drops.
     """
     f, g = fun_and_grad(y)
     steps = 0
     while True:
-        hess = _projected_hessian(fun_and_grad, y)
-        try:
-            np.linalg.cholesky(hess)
-        except np.linalg.LinAlgError:
-            return y, False, steps
+        eigs, vecs = np.linalg.eigh(hessian(y)[1:, 1:])
         if np.linalg.norm(g[1:]) < _NEWTON_GTOL:
-            return y, True, steps
+            return y, bool(eigs[0] > 0.0), steps
         if steps == _NEWTON_MAX_STEPS:
             return y, False, steps
-        direction = np.linalg.solve(hess, -g[1:])
+        eigs = np.abs(eigs)
+        np.maximum(eigs, _NEWTON_EIG_FLOOR * eigs.max(), out=eigs)
+        direction = -(vecs @ ((vecs.T @ g[1:]) / eigs))
         slope = float(g[1:] @ direction)
         t = 1.0
         while True:
@@ -275,15 +296,17 @@ def _descend(model: _QuotientModel, c0: np.ndarray, max_iters: int):
     """Descent on the quotient; returns (value, c, converged, iters, newton_steps).
 
     Plain gradient steps stall in the nearly-flat valleys of this quotient,
-    so up to two rounds of the line-searched limited-memory BFGS engine run
-    with the analytic gradient, the second with a fresh curvature memory; a
-    start whose value plateaus within them ends there, converged.  Where
-    L-BFGS has not plateaued (at (3, 3) with 48 nodes the Hessian's lowest
-    eigenvalue falls as lambda grows, to 6.5e-6 at lambda = 5, where L-BFGS
-    stalls for tens of thousands of iterations), Newton finishes the descent
-    from the L-BFGS endpoint (_newton).  The quotient is scale
-    invariant, which leaves one exactly flat direction; the final
-    normalization removes it from the reported argmin.
+    so the line-searched limited-memory BFGS engine runs with the analytic
+    gradient.  A first round that stops below max_iters is followed by a
+    second with a fresh curvature memory, and a start whose value plateaus
+    within the two ends there, converged.  A start whose first round reaches
+    max_iters, or that has not plateaued after two rounds, is finished by
+    Newton from the L-BFGS endpoint (_newton, with the analytic Hessian): at
+    (3, 3) with 48 nodes the Hessian's lowest eigenvalue falls as lambda
+    grows, to 6.5e-6 at lambda = 5, where L-BFGS stalls for tens of
+    thousands of iterations.  The quotient is scale invariant, which leaves
+    one exactly flat direction; the final normalization removes it from the
+    reported argmin.
     """
     # optimize in spectrally rescaled variables: without this the high-mode
     # stiffness leaves errors of order 1e-3 after thousands of iterations
@@ -294,19 +317,17 @@ def _descend(model: _QuotientModel, c0: np.ndarray, max_iters: int):
         g *= scale
         return q, g
 
-    y = model.normalize(c0) / scale
-    nit = 0
-    prev = math.inf
+    def rescaled_hessian(y):
+        return scale[:, None] * model.hessian(y * scale) * scale
+
+    y, fun, nit, _ = _lbfgsb(rescaled, model.normalize(c0) / scale, max_iters)
     converged, newton_steps = False, 0
-    for _ in range(2):
-        y, fun, round_iters, _ = _lbfgsb(rescaled, y, max_iters)
+    if nit < max_iters:
+        y, round_fun, round_iters, _ = _lbfgsb(rescaled, y, max_iters)
         nit += round_iters
-        if prev - fun < 1.0e-13 * max(1.0, abs(fun)):
-            converged = True
-            break
-        prev = fun
-    else:
-        y, converged, newton_steps = _newton(rescaled, y)
+        converged = fun - round_fun < 1.0e-13 * max(1.0, abs(round_fun))
+    if not converged:
+        y, converged, newton_steps = _newton(rescaled, rescaled_hessian, y)
     c = model.normalize(y * scale)
     q, _ = model.quotient_and_gradient(c)
     return float(q), c, converged, nit, newton_steps
@@ -316,7 +337,7 @@ def _hessian_min(model: _QuotientModel, c: np.ndarray) -> float:
     """Lowest eigenvalue of the projected Hessian at c, in the log-profile
     coefficients: negative at a saddle, and small where the valley is nearly
     flat (6.5e-6 at the (3, 3) minimizer for lambda = 5 with 48 nodes)."""
-    return float(np.linalg.eigvalsh(_projected_hessian(model.quotient_and_gradient, c))[0])
+    return float(np.linalg.eigvalsh(model.hessian(c)[1:, 1:])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,26 @@ class TestGradient:
             assert abs(fd - grad[k]) <= 1e-6 * max(1.0, abs(grad[k]))
 
 
+class TestHessian:
+    @pytest.mark.parametrize("d,p,value", [(3, 3.0, 3.5), (3, 3.0, 5.0), (3, 1.5, 2.0), (2, 4.0, 3.0)])
+    def test_matches_central_differences_of_the_gradient(self, d, p, value):
+        model = _QuotientModel(make_parameter_point(d, p), value, 48)
+        rng = np.random.default_rng(7)
+        c = np.zeros(48)
+        c[1:9] = 0.3 * rng.standard_normal(8)
+        h = 1e-6
+        oracle = np.empty((47, 47))
+        for i in range(1, 48):
+            step = np.zeros(48)
+            step[i] = h
+            g_plus = model.quotient_and_gradient(c + step)[1]
+            g_minus = model.quotient_and_gradient(c - step)[1]
+            oracle[i - 1] = (g_plus[1:] - g_minus[1:]) / (2.0 * h)
+        hess = model.hessian(c)
+        assert hess.shape == (48, 48)
+        assert np.abs(hess[1:, 1:] - oracle).max() < 1e-8 * np.abs(oracle).max()
+
+
 def reference_quotient_and_gradient(model, c):
     """The quotient kernel in plain, unhoisted form: the bit-level oracle."""
     p, d = model.pp.p, model.pp.d
@@ -290,8 +310,12 @@ class TestBestConstant:
         assert len(result.start_values) == 3 + 3
         assert result.minimizer.is_positive
         assert result.newton_steps == (0,) * 6
-        # at the constant: 2 (p - 2)(1 - lambda), along Y_1
-        assert result.hessian_min == pytest.approx(1.0, rel=1e-6)
+        # at the constant: 2 (p - 2)(1 - lambda), along Y_1; the best start is
+        # a mode-1 tilt whose L-BFGS endpoint lies next to the constant
+        assert result.hessian_min == pytest.approx(1.0, rel=1e-9)
+        model = _QuotientModel(D3P3, 0.5, 48)
+        constant = model.normalize(np.zeros(48))
+        assert variational._hessian_min(model, constant) == pytest.approx(1.0, rel=1e-12)
 
     def test_lam5_converges_at_the_benchmark_op(self):
         # the benchmark's lambda = 5 op: grid index 3 of figure1 at the CLI defaults
@@ -308,11 +332,11 @@ class TestNewtonFinish:
         # lambda = 2 the Hessian along Y_1 is 2 (p - 2)(1 - lambda) = -2
         model = _QuotientModel(D3P3, 2.0, 48)
         c = model.normalize(np.zeros(48))
-        y, converged, steps = variational._newton(model.quotient_and_gradient, c)
+        y, converged, steps = variational._newton(model.quotient_and_gradient, model.hessian, c)
         assert not converged
         assert steps == 0
         assert np.array_equal(y, c)
-        assert variational._hessian_min(model, c) == pytest.approx(-2.0, rel=1e-6)
+        assert variational._hessian_min(model, c) == pytest.approx(-2.0, rel=1e-12)
 
     @pytest.mark.parametrize("lam,seed", [(3.5, 2), (5.0, 3)])
     def test_finish_never_rises_above_the_lbfgs_endpoint(self, monkeypatch, lam, seed):
@@ -321,9 +345,9 @@ class TestNewtonFinish:
         newton = variational._newton
         endpoints = []
 
-        def recording_newton(fun_and_grad, y):
+        def recording_newton(fun_and_grad, hessian, y):
             endpoints.append(y.copy())
-            return newton(fun_and_grad, y)
+            return newton(fun_and_grad, hessian, y)
 
         monkeypatch.setattr(variational, "_newton", recording_newton)
         for c0 in variational._start_points(48, 2, seed):
@@ -335,6 +359,22 @@ class TestNewtonFinish:
             endpoint = model.normalize(endpoints[-1] * scale)
             assert q <= model.quotient_and_gradient(endpoint)[0]
         assert len(endpoints) >= 2  # the two mode-1 tilts stall at both values
+
+    def test_a_start_at_the_cap_goes_straight_to_newton(self):
+        result = best_constant(D3P3, 3.5, restarts=2, seed=2)
+        at_cap = [k for k, iters in enumerate(result.start_iterations) if iters >= 1500]
+        assert at_cap  # the mode-1 tilts and both restarts stall at lambda = 3.5
+        for k in at_cap:
+            assert result.start_iterations[k] == 1500  # one L-BFGS round, not two
+            assert result.newton_steps[k] > 0
+
+    def test_every_stalled_start_reaches_the_best_value(self):
+        # CLI defaults at lambda = 3.5: the modified step finishes the starts
+        # whose L-BFGS endpoint has an indefinite Hessian
+        curve = bound_curve_sweep(D3P3, [3.5], seed=2)
+        best = curve.numeric[0]
+        for value in curve.start_values[0][1:]:  # all but the constant start
+            assert abs(value - best) <= 1e-12 * best
 
 
 class TestSweep:
