@@ -20,8 +20,8 @@ seed, so reruns can be compared with a plain byte diff; the manifest repeats
 the inputs so any run can be reproduced from it alone.
 
 Exit codes: 0 success, 2 invalid parameters or usage, 3 a certified
-invariant failed, 4 an iterative solver did not converge or a solver
-process died.
+invariant failed, 4 an iterative solver did not converge, broke down in
+floating point, or a solver process died.
 """
 
 from __future__ import annotations
@@ -230,15 +230,12 @@ def cmd_figure1(args) -> tuple[int, str, dict]:
     return 4 if n_failed else 0, stem, {
         "parameters": {"lambda_grid": lams, "columns": descriptions},
         "files": {f"{stem}.{args.format}": text},
+        # every field of each grid value's result but value (the numeric_mu column) and minimizer
         "diagnostics": {
             "lambda": list(curve.lams),
-            "iterations": list(curve.iterations),
-            "start_values": list(curve.start_values),
-            "start_iterations": list(curve.start_iterations),
-            "clipped_starts": list(curve.clipped_starts),
-            "newton_steps": list(curve.newton_steps),
-            "hessian_min": list(curve.hessian_min),
-            "converged": list(curve.converged),
+            **{field.name: [getattr(r, field.name) for r in curve.results]
+               for field in dataclasses.fields(curve.results[0])
+               if field.name not in ("value", "minimizer")},
             "workers": curve.workers,
         },
     }

@@ -255,7 +255,10 @@ class FlowSetting:
 def _gamma_quadratic(pp: ParameterPoint) -> tuple[float, float, float]:
     """Coefficients (a, b, c) with gamma(beta) = a beta^2 + b beta + c."""
     d, p = pp.d, pp.p
-    a = (p - 2.0) - ((d - 1.0) * (p - 1.0) / (d + 2.0)) ** 2
+    try:
+        a = (p - 2.0) - ((d - 1.0) * (p - 1.0) / (d + 2.0)) ** 2
+    except OverflowError:  # p past 5.4e154 at d = 2
+        raise ValidationError(f"gamma(beta) overflows at (d, p) = ({d}, {p})") from None
     b = 2.0 * (d + 3.0 - p) / (d + 2.0)
     return a, b, -1.0
 
@@ -346,10 +349,13 @@ def beta_roots(pp: ParameterPoint) -> BetaRange:
         raise ValidationError(f"(d, p) = ({d}, {p}) is outside the flow parameter range")
 
     a, b, _ = _gamma_quadratic(pp)
-    # Root-formula labels; the denominator is -(d+2)^2 a.
-    denom = (d - 1.0) ** 2 * (p - 1.0) ** 2 - (p - 2.0) * (d + 2.0) ** 2
-    radicand = d * (p - 1.0) * pp.delta
-    scale = max(1.0, abs((d - 1.0) ** 2 * (p - 1.0) ** 2), abs((p - 2.0) * (d + 2.0) ** 2))
+    try:
+        # Root-formula labels; the denominator is -(d+2)^2 a.
+        denom = (d - 1.0) ** 2 * (p - 1.0) ** 2 - (p - 2.0) * (d + 2.0) ** 2
+        radicand = d * (p - 1.0) * pp.delta
+        scale = max(1.0, abs((d - 1.0) ** 2 * (p - 1.0) ** 2), abs((p - 2.0) * (d + 2.0) ** 2))
+    except OverflowError:  # (p - 1)^2 past the float range, d <= 2 only
+        raise ValidationError(f"the roots of gamma(beta) overflow at (d, p) = ({d}, {p})") from None
     degenerate = abs(denom) <= _DEGENERATE_TOL * scale
 
     if degenerate:
@@ -378,6 +384,8 @@ def beta_roots(pp: ParameterPoint) -> BetaRange:
     num_root = (d + 2.0) * math.sqrt(radicand)
     beta_plus = (num_base + num_root) / denom
     beta_minus = (num_base - num_root) / denom
+    if 0.0 in (beta_plus, beta_minus):  # gamma(0) = -1: a root rounded to 0
+        raise ValidationError(f"a root of gamma(beta) rounds to 0 at (d, p) = ({d}, {p})")
     lo, hi = min(beta_plus, beta_minus), max(beta_plus, beta_minus)
 
     witness = None

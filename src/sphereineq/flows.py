@@ -79,6 +79,8 @@ def make_flow_config(
         raise ValidationError(f"sample_count must be >= 2, got {sample_count}")
     if node_count < 4:
         raise ValidationError(f"node_count must be >= 4, got {node_count}")
+    if isinstance(setting, FlowSetting):  # the entropy-rate residual carries beta^2
+        check_real("the squared flow exponent beta^2", setting.beta * setting.beta)
     return FlowConfig(setting=setting, time_horizon=time_horizon, node_count=int(node_count),
                       sample_count=int(sample_count), antipodal=bool(antipodal))
 

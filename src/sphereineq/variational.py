@@ -397,10 +397,18 @@ def _worker_count() -> int:
     return cpus
 
 
+def _guarded(value: float, fn, *args):
+    """fn(*args), a floating-point breakdown of the solve at value raised as ConvergenceError."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        raise ConvergenceError(f"the solve at {value} broke down: {exc}") from None
+
+
 def _run_start(task):
     """One descent, task = (pp, value, node_count, c0, max_iters)."""
     pp, value, node_count, c0, max_iters = task
-    return _descend(_QuotientModel(pp, value, node_count), c0, max_iters)
+    return _guarded(value, _descend, _QuotientModel(pp, value, node_count), c0, max_iters)
 
 
 def _start_points(n: int, restarts: int, seed: int) -> list:
@@ -462,30 +470,26 @@ def _solve(pp: ParameterPoint, values, seeds, node_count, restarts, max_iters):
             pool.shutdown(cancel_futures=True)
     per_value = len(starts[0])
     results = [
-        _best_of(model, descents[k * per_value : (k + 1) * per_value])
-        for k, model in enumerate(models)
+        _guarded(value, _best_of, model, descents[k * per_value : (k + 1) * per_value])
+        for k, (value, model) in enumerate(zip(values, models))
     ]
     return results, workers
 
 
 def _best_of(model: _QuotientModel, runs) -> BestConstantResult:
     """The lowest of the descents, the first one on ties, with their counters."""
-    best = None
-    for q, c, converged, _, _ in runs:
-        if best is None or q < best[0]:
-            best = (q, c, converged)
-    q, c, converged = best
-    minimizer = AxiFunction(model.rule, values=model.profile(model.normalize(c)))
-    start_iterations = tuple(int(run[3]) for run in runs)
+    values, points, flags, iterations, newton_steps = zip(*runs)
+    best = min(range(len(runs)), key=values.__getitem__)
+    c = points[best]
     return BestConstantResult(
-        value=float(q),
-        minimizer=minimizer,
-        converged=bool(converged),
-        iterations=sum(start_iterations),
-        start_values=tuple(float(run[0]) for run in runs),
-        start_iterations=start_iterations,
-        clipped_starts=sum(model.touches_clip(run[1]) for run in runs),
-        newton_steps=tuple(int(run[4]) for run in runs),
+        value=float(values[best]),
+        minimizer=AxiFunction(model.rule, values=model.profile(model.normalize(c))),
+        converged=bool(flags[best]),
+        iterations=sum(map(int, iterations)),
+        start_values=tuple(map(float, values)),
+        start_iterations=tuple(map(int, iterations)),
+        clipped_starts=sum(map(model.touches_clip, points)),
+        newton_steps=tuple(map(int, newton_steps)),
         hessian_min=_hessian_min(model, c),
     )
 
@@ -526,24 +530,24 @@ def best_constant(
 class SweepCurve:
     """Numeric optimal constant across a grid with the analytic lower bounds.
 
-    converged, iterations, start_values, start_iterations, clipped_starts,
-    newton_steps and hessian_min hold, per grid value, the fields of that
-    name of its best_constant result; workers is the number of processes
-    that ran the descents.
+    results holds the best_constant result of each grid value, in grid
+    order, with every solver counter; numeric and converged are their values
+    and flags.  workers is the number of processes that ran the descents.
     """
 
     lams: tuple
-    numeric: tuple
     thm2: tuple
     prop34: tuple | None
-    converged: tuple
-    iterations: tuple
-    start_values: tuple
-    start_iterations: tuple
-    clipped_starts: tuple
-    newton_steps: tuple
-    hessian_min: tuple
+    results: tuple
     workers: int
+
+    @property
+    def numeric(self) -> tuple:
+        return tuple(r.value for r in self.results)
+
+    @property
+    def converged(self) -> tuple:
+        return tuple(r.converged for r in self.results)
 
 
 def bound_curve_sweep(
@@ -570,20 +574,8 @@ def bound_curve_sweep(
     prop34 = None
     if fast_range:
         prop34 = tuple(mu_lower_prop34(pp, lam) if lam >= 1.0 else math.nan for lam in lams)
-    return SweepCurve(
-        lams=tuple(lams),
-        numeric=tuple(r.value for r in results),
-        thm2=tuple(thm2),
-        prop34=prop34,
-        converged=tuple(r.converged for r in results),
-        iterations=tuple(r.iterations for r in results),
-        start_values=tuple(r.start_values for r in results),
-        start_iterations=tuple(r.start_iterations for r in results),
-        clipped_starts=tuple(r.clipped_starts for r in results),
-        newton_steps=tuple(r.newton_steps for r in results),
-        hessian_min=tuple(r.hessian_min for r in results),
-        workers=workers,
-    )
+    return SweepCurve(lams=tuple(lams), thm2=tuple(thm2), prop34=prop34,
+                      results=tuple(results), workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +641,7 @@ def klt_validate(
     """
     if n_samples < 1:
         raise ValidationError(f"sample count must be at least 1, got {n_samples}")
-    check_real("potential scale", scale, 0.0)
+    scale = check_real("potential scale", scale, 0.0) + 0.0  # -0.0, which numpy rejects, to 0.0
     check_real("tolerance", tolerance, 0.0)
     if sign_mode == "minus_V":
         if q <= max(1.0, d / 2.0):

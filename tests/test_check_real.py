@@ -6,6 +6,7 @@ scan of the source makes sure no literal check_real name is missing here.
 """
 
 import ast
+import dataclasses
 import math
 import re
 from functools import lru_cache
@@ -107,6 +108,9 @@ SITES = [
     ("cli", "--p-min", _cli("figure2", "--p-min={x}"), 1.0, False),
     ("cli", "--p-max", _cli("figure2", "--p-max={x}"), -math.inf, False),
     ("cli", "--tol", _cli("verify", "gns", "--tol={x}"), 0.0, False),
+    ("flows", "the squared flow exponent beta^2",
+     lambda x: make_flow_config(dataclasses.replace(make_flow_setting(D3P3, 1.0), beta=x)),
+     -math.inf, False),
 ]
 
 

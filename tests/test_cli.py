@@ -7,6 +7,7 @@ sample counts are kept tiny so the whole module runs in seconds.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 import sphereineq.cli as cli
 from sphereineq import __version__
 from sphereineq.ioutils import fmt_float
-from sphereineq.variational import KLTReport
+from sphereineq.variational import BestConstantResult, KLTReport
 
 ROOT = Path(cli.__file__).resolve().parents[2]
 
@@ -228,6 +229,8 @@ class TestFigure1:
         )
         assert code == 0
         solver = load_json(tmp_path / "figure1_d3_p3_manifest.json")["diagnostics"]
+        counters = {f.name for f in dataclasses.fields(BestConstantResult)} - {"value", "minimizer"}
+        assert set(solver) == {"lambda", "workers"} | counters
         assert [len(iters) for iters in solver["start_iterations"]] == [5, 5]
         assert [sum(iters) for iters in solver["start_iterations"]] == solver["iterations"]
         assert solver["clipped_starts"] == [0, 0]
@@ -793,7 +796,7 @@ _DIMENSIONS = st.one_of(
 
 def _numbers(lo: float, hi: float):
     return st.one_of(
-        st.floats(lo, hi), st.floats(1.999, 2.001), st.floats(-1.0, 4.0 * hi),
+        st.floats(lo, hi), st.floats(1.999, 2.001), st.floats(-1.0, 4.0 * hi), st.floats(1e6, 1.7e308),
         st.sampled_from([math.nan, math.inf]),
     ).map(repr)
 
@@ -843,6 +846,36 @@ def _command_lines(draw):
 @example((["verify", "gns", "--d", "10000", "--p", "1.0", "--n", "2"], None), False)
 # |u|_2^2 overflowed in ckp_distance, and the nan margin exited 3
 @example((["verify", "ckp", "--d", "177", "--p", "2.0001933556760054", "--n", "1"], None), False)
+# an overflowed quotient failed the Hessian's eigh, and an Lp mass underflowed
+# to 0 under a negative power, in a best-constant descent
+@example((["figure1", "--lambda-grid", "1e300", "--n-nodes", "8", "--restarts", "0"], None), False)
+@example((["figure1", "--lambda-grid", "1.7e308", "--n-nodes", "8", "--restarts", "0"], None), False)
+@example((["figure1", "--d", "1", "--p", "1e6", "--lambda-grid", "1",
+           "--n-nodes", "8", "--restarts", "0"], None), False)
+# and the Hessian's eigvalsh failed at the minimizer of a descent that ended
+@example((["figure1", "--d", "1", "--p", "5.0", "--lambda-grid", "2.6094174004375856e+307",
+           "--n-nodes", "8", "--restarts", "0"], None), False)
+# a root of gamma(beta) rounded to 0, or (p - 1)^2 overflowed, in beta_roots
+@example((["constants", "--d", "1", "--p", "1e20"], None), False)
+@example((["constants", "--d", "1", "--p", "3.602879701896398e+16"], None), False)
+@example((["constants", "--d", "1", "--p", "1e200"], None), False)
+@example((["constants", "--d", "1", "--p", "1.3407807929942597e+154"], None), False)
+@example((["constants", "--d", "2", "--p", "1e160"], None), False)
+@example((["figure2", "--d", "1", "--p-max", "1e20", "--p-step", "1e17"], None), False)
+# gamma(beta) overflowed in make_flow_setting
+@example((["constants", "--d", "2", "--p", "5.363123171977039e+154", "--beta", "1.0"], None), False)
+@example((["flow", "{config}", "--tol", "0.0"], {
+    "mode": "nonlinear", "d": 2, "p": 5.363123171977039e154, "time_horizon": 0.05,
+    "node_count": 16, "sample_count": 65, "antipodal": False,
+    "initial": {"kind": "affine", "amplitude": 0.0}, "beta": 1.0}), False)
+# beta^2 overflowed in the entropy-rate residual of an admissible nonlinear flow
+@example((["flow", "{config}", "--tol", "0.0"], {
+    "mode": "nonlinear", "d": 1, "p": 3.0, "time_horizon": 0.05, "node_count": 16,
+    "sample_count": 65, "antipodal": False, "initial": {"kind": "affine", "amplitude": 0.0},
+    "beta": 1.3407807929942597e154}), False)
+# a potential scale of -0.0 passed its check, but numpy's normal rejected it
+@example((["klt", "--d", "1", "--q", "2.0", "--samples", "2", "--mode", "minus_V",
+           "--n-nodes", "16", "--scale", "-0.0"], None), False)
 def test_every_failure_exits_with_a_documented_code(run, out_under_file):
     argv, config = run
     with tempfile.TemporaryDirectory() as tmp:

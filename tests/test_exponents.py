@@ -147,6 +147,14 @@ class TestFlowSetting:
         assert fs.gamma_beta == pytest.approx(0.56, abs=1e-12)
         assert fs.admissible
 
+    def test_overflowing_gamma_is_rejected(self):
+        # ((d - 1)(p - 1)/(d + 2))^2 overflowed past p = 5.4e154 at d = 2
+        pp = make_parameter_point(2, 5.363123171977039e154)
+        with pytest.raises(ValidationError):
+            make_flow_setting(pp, 1.0)
+        with pytest.raises(ValidationError):
+            gamma_of_beta(pp, 1.0)
+
     def test_above_sharp_threshold_heat_flow_inadmissible(self):
         fs = make_flow_setting(make_parameter_point(3, 5.0), 1.0)
         assert fs.gamma_beta == pytest.approx(-0.16, abs=1e-12)
@@ -294,6 +302,18 @@ class TestBetaRoots:
             if abs(p - 2.0) < 1e-6:
                 continue
             assert not beta_roots(make_parameter_point(d, p)).contains(0.0)
+
+    @pytest.mark.parametrize("d,p", [
+        (1, 1e20), (1, 3.602879701896398e16),  # a root rounds to -0.0
+        (1, 1e200), (1, 1.3407807929942597e154), (2, 1e160),  # (p - 1)^2 overflows
+        (2, 5.363123171977039e154),
+    ])
+    def test_breakdown_at_large_p_is_rejected(self, d, p):
+        pp = make_parameter_point(d, p)
+        with pytest.raises(ValidationError):
+            beta_roots(pp)
+        with pytest.raises(ValidationError):
+            m_range(pp)
 
 
 class TestMRange:

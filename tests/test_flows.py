@@ -44,6 +44,13 @@ class TestConfig:
         with pytest.raises(ValidationError):
             make_flow_config((3, 3.0))
 
+    def test_rejects_a_beta_whose_square_overflows(self):
+        # admissible at (1, 3), but beta^2 in the entropy-rate residual overflowed
+        setting = make_flow_setting(make_parameter_point(1, 3.0), 1.3407807929942597e154)
+        assert setting.admissible
+        with pytest.raises(ValidationError, match="beta"):
+            make_flow_config(setting, 0.05, node_count=16, sample_count=65)
+
     @pytest.mark.parametrize(
         "tolerances",
         [

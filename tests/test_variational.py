@@ -1,9 +1,11 @@
 """Tests for quotient minimization and the Schrodinger eigenvalue bounds."""
 
+import dataclasses
 import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -20,7 +22,7 @@ from sphereineq.bounds import (
     mu_lower_prop34,
     mu_lower_thm2,
 )
-from sphereineq.errors import ValidationError
+from sphereineq.errors import ConvergenceError, ValidationError
 from sphereineq.exponents import make_parameter_point
 from sphereineq.sphere_calculus import (
     AxiFunction,
@@ -322,8 +324,20 @@ class TestBestConstant:
         curve = bound_curve_sweep(D3P3, [5.0], seed=3)
         assert curve.converged == (True,)
         assert abs(curve.numeric[0] - 2.920434682280537) < 1e-7
-        assert any(curve.newton_steps[0])
-        assert 0.0 < curve.hessian_min[0] < 1e-4
+        assert any(curve.results[0].newton_steps)
+        assert 0.0 < curve.results[0].hessian_min < 1e-4
+
+    @pytest.mark.parametrize("pp,value", [
+        (D3P3, 1e300),  # the quotient overflows and the Hessian's eigh fails
+        (D3P3, 1.7e308),
+        (D3P15, 1e308),
+        (make_parameter_point(1, 1e6), 1.0),  # the Lp mass underflows to 0
+        # the descent ends, but the Hessian's eigvalsh at its endpoint fails
+        (make_parameter_point(1, 5.0), 2.6094174004375856e307),
+    ])
+    def test_breakdown_is_a_convergence_error(self, pp, value):
+        with pytest.raises(ConvergenceError, match=re.escape(f"the solve at {value} broke down")):
+            best_constant(pp, value, node_count=8, restarts=0)
 
 
 class TestNewtonFinish:
@@ -373,7 +387,7 @@ class TestNewtonFinish:
         # whose L-BFGS endpoint has an indefinite Hessian
         curve = bound_curve_sweep(D3P3, [3.5], seed=2)
         best = curve.numeric[0]
-        for value in curve.start_values[0][1:]:  # all but the constant start
+        for value in curve.results[0].start_values[1:]:  # all but the constant start
             assert abs(value - best) <= 1e-12 * best
 
 
@@ -399,21 +413,22 @@ class TestSweep:
 
     def test_keeps_solver_counters(self):
         curve = bound_curve_sweep(D3P3, [0.5, 2.0], restarts=1, node_count=24, seed=3)
-        assert len(curve.iterations) == 2
+        assert len(curve.results) == 2
         for k, lam in enumerate(curve.lams):
             result = best_constant(D3P3, lam, restarts=1, node_count=24, seed=3 + k)
-            assert curve.numeric[k] == result.value
-            assert curve.iterations[k] == result.iterations > 0
-            assert curve.start_values[k] == result.start_values
-            assert min(curve.start_values[k]) == curve.numeric[k]
-            assert curve.converged[k] == result.converged
-            assert curve.start_iterations[k] == result.start_iterations
-            assert sum(curve.start_iterations[k]) == curve.iterations[k]
-            assert len(curve.start_iterations[k]) == len(curve.start_values[k])
-            assert curve.clipped_starts[k] == result.clipped_starts == 0
-            assert curve.newton_steps[k] == result.newton_steps
-            assert len(curve.newton_steps[k]) == len(curve.start_values[k])
-            assert curve.hessian_min[k] == result.hessian_min > 0.0
+            for field in dataclasses.fields(result):
+                swept, alone = getattr(curve.results[k], field.name), getattr(result, field.name)
+                if field.name == "minimizer":
+                    assert np.array_equal(swept.values, alone.values)
+                else:
+                    assert swept == alone, field.name
+            assert result.clipped_starts == 0 and result.hessian_min > 0.0
+        assert curve.numeric == tuple(r.value for r in curve.results)
+        assert curve.converged == tuple(r.converged for r in curve.results)
+        result = curve.results[0]
+        assert sum(result.start_iterations) == result.iterations > 0
+        assert min(result.start_values) == result.value
+        assert len(result.start_iterations) == len(result.newton_steps) == len(result.start_values)
         assert curve.workers == len(os.sched_getaffinity(0))
 
     def test_p_below_two_rejected(self):
@@ -703,3 +718,8 @@ class TestKLT:
     def test_rejects_empty_battery_and_bad_scale(self, kwargs):
         with pytest.raises(ValidationError):
             klt_validate(3, 3.0, **kwargs)
+
+    def test_negative_zero_scale_is_zero(self):
+        # -0.0 passes the nonnegative check, but numpy's normal rejected it
+        report = klt_validate(1, 2.0, n_samples=2, sign_mode="minus_V", node_count=16, scale=-0.0)
+        assert report == klt_validate(1, 2.0, n_samples=2, sign_mode="minus_V", node_count=16, scale=0.0)
