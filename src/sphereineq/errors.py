@@ -3,6 +3,11 @@
 The command line front end maps these onto process exit codes, so library
 code should raise the most specific type that applies rather than a bare
 ValueError or RuntimeError.
+
+Floating-point policy: the CLI runs its numpy commands with overflow, invalid
+and divide raised (underflow silent), and exits 2 on a FloatingPointError or
+OverflowError, 4 where an iterative solve made it a ConvergenceError.  Library
+calls keep numpy's defaults; a scalar overflow raises Python's OverflowError.
 """
 
 import math

@@ -79,8 +79,6 @@ def make_flow_config(
         raise ValidationError(f"sample_count must be >= 2, got {sample_count}")
     if node_count < 4:
         raise ValidationError(f"node_count must be >= 4, got {node_count}")
-    if isinstance(setting, FlowSetting):  # the entropy-rate residual carries beta^2
-        check_real("the squared flow exponent beta^2", setting.beta * setting.beta)
     return FlowConfig(setting=setting, time_horizon=time_horizon, node_count=int(node_count),
                       sample_count=int(sample_count), antipodal=bool(antipodal))
 
@@ -340,7 +338,8 @@ def _advance(rhs, y, t_target, t, dt, sc, floor, stats, k1=None):
     k1 is rhs(y) when the caller has it (first same as last: an accepted
     step's last stage is evaluated at its new y).  rhs must return a new
     array.  stats counts accepted_steps, rejected_steps and, among the
-    rejections, positivity_halvings.  Returns (y, t, dt, k1).
+    rejections, positivity_halvings.  Returns (y, t, dt, k1).  A non-finite
+    error estimate, or a FloatingPointError, ends it with ConvergenceError.
     """
     rtol = sc["rtol"]
     atol = sc["atol"]
@@ -350,59 +349,60 @@ def _advance(rhs, y, t_target, t, dt, sc, floor, stats, k1=None):
     acc = np.empty_like(y)
     term = np.empty_like(y)
     abs_y = np.abs(y)
-    while t < t_target - 1e-14 * max(1.0, t_target):
-        dt = min(dt, t_target - t, max_dt)
-        halvings = 0
-        while True:
-            try:
-                if k1 is None:
-                    k1 = rhs(y)
-                k = [k1]
-                for row in _DP_STAGES:
-                    k.append(rhs(_stage_input(y, dt, row, k, acc, term)))
-                y5 = _stage_input(y, dt, _DP_Y5, k, np.empty_like(y), term)
-                k.append(rhs(y5))
-                if np.fmin.reduce(y5) <= floor:
-                    raise _PositivityLoss
-            except _PositivityLoss:
-                stats["rejected_steps"] += 1
-                stats["positivity_halvings"] += 1
-                halvings += 1
-                if halvings > 40:
+    try:
+        while t < t_target - 1e-14 * max(1.0, t_target):
+            dt = min(dt, t_target - t, max_dt)
+            halvings = 0
+            while True:
+                try:
+                    if k1 is None:
+                        k1 = rhs(y)
+                    k = [k1]
+                    for row in _DP_STAGES:
+                        k.append(rhs(_stage_input(y, dt, row, k, acc, term)))
+                    y5 = _stage_input(y, dt, _DP_Y5, k, np.empty_like(y), term)
+                    k.append(rhs(y5))
+                    if np.fmin.reduce(y5) <= floor:
+                        raise _PositivityLoss
+                except _PositivityLoss:
+                    stats["rejected_steps"] += 1
+                    stats["positivity_halvings"] += 1
+                    halvings += 1
+                    if halvings > 40:
+                        raise ConvergenceError(
+                            "positivity could not be maintained after 40 step halvings"
+                        )
+                    dt *= 0.5
+                    continue
+                r = np.subtract(y5, _stage_input(y, dt, _DP_Y4, k, acc, term), out=acc)
+                scale = np.abs(y5)
+                np.maximum(abs_y, scale, out=scale)
+                scale *= rtol
+                scale += atol
+                r /= scale
+                r *= r
+                err = math.sqrt(r.sum() / r.size)
+                if not math.isfinite(err):  # under numpy's defaults, nothing raised
+                    raise FloatingPointError(f"error estimate is {err}")
+                if err > 1.0 and dt <= 1e-15:
                     raise ConvergenceError(
-                        "positivity could not be maintained after 40 step halvings"
+                        f"step size fell to {dt:.3g} at t = {t:.6g} with error "
+                        f"estimate {err:.3g} > 1"
                     )
-                dt *= 0.5
-                continue
-            r = np.subtract(y5, _stage_input(y, dt, _DP_Y4, k, acc, term), out=acc)
-            scale = np.abs(y5)
-            np.maximum(abs_y, scale, out=scale)
-            scale *= rtol
-            scale += atol
-            r /= scale
-            r *= r
-            err = math.sqrt(r.sum() / r.size)
-            if not math.isfinite(err):
-                raise ConvergenceError(
-                    f"error estimate is {err} at t = {t:.6g}, dt = {dt:.3g}"
-                )
-            if err > 1.0 and dt <= 1e-15:
-                raise ConvergenceError(
-                    f"step size fell to {dt:.3g} at t = {t:.6g} with error "
-                    f"estimate {err:.3g} > 1"
-                )
-            if err <= 1.0:
-                factor = safety * (err + 1e-16) ** -0.14 * err_prev**0.08
-                err_prev = max(err, 1e-16)
-                y = y5
-                abs_y = np.abs(y)
-                k1 = k[-1]
-                t += dt
-                stats["accepted_steps"] += 1
-                dt = min(dt * min(max(factor, 0.2), 5.0), max_dt)
-                break
-            stats["rejected_steps"] += 1
-            dt *= min(max(safety * err**-0.2, 0.2), 0.9)
+                if err <= 1.0:
+                    factor = safety * (err + 1e-16) ** -0.14 * err_prev**0.08
+                    err_prev = max(err, 1e-16)
+                    y = y5
+                    abs_y = np.abs(y)
+                    k1 = k[-1]
+                    t += dt
+                    stats["accepted_steps"] += 1
+                    dt = min(dt * min(max(factor, 0.2), 5.0), max_dt)
+                    break
+                stats["rejected_steps"] += 1
+                dt *= min(max(safety * err**-0.2, 0.2), 0.9)
+    except FloatingPointError as exc:
+        raise ConvergenceError(f"the step at t = {t:.6g}, dt = {dt:.3g} broke down: {exc}") from None
     return y, t, dt, k1
 
 

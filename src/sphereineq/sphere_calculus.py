@@ -56,11 +56,12 @@ class UltrasphericalRule:
 
     Nodes and weights integrate polynomials up to degree 2n - 1 exactly; the
     normalization constant comes from the Beta function so that the weights
-    sum to one up to roundoff.  The spectral basis (orthonormal ultraspherical
-    polynomials) is built lazily and cached.
+    sum to one up to roundoff.  basis[i, k] is the k-th orthonormal
+    ultraspherical polynomial at node i, and eigenvalues[k] = k (k + d - 1)
+    its eigenvalue under -L.
     """
 
-    __slots__ = ("d", "n", "nodes", "weights", "exactness_degree", "_basis", "_eigenvalues")
+    __slots__ = ("d", "n", "nodes", "weights", "exactness_degree", "basis", "eigenvalues")
 
     def __init__(self, d: int, n: int):
         d = validate_dimension(d)
@@ -76,35 +77,19 @@ class UltrasphericalRule:
         self.nodes = nodes
         self.weights = weights
         self.exactness_degree = 2 * n - 1
-        self._basis = None
-        self._eigenvalues = None
+        self._build_basis()
 
-    def _build_basis(self) -> None:
+    def _build_basis(self) -> None:  # a method of its own, which bench/probes.py times
         a = 0.5 * self.d - 1.0
         n = self.n
         P = _scipy_kernels.ufuncs().eval_jacobi(np.arange(n), a, a, self.nodes[:, None])
-        norms = np.sqrt(np.sum(self.weights[:, None] * P * P, axis=0))
-        P /= norms
+        P /= np.sqrt(np.sum(self.weights[:, None] * P * P, axis=0))
         P.setflags(write=False)
-        self._basis = P
+        self.basis = P
         k = np.arange(n, dtype=float)
         eigs = k * (k + self.d - 1.0)
         eigs.setflags(write=False)
-        self._eigenvalues = eigs
-
-    @property
-    def basis(self) -> np.ndarray:
-        """Matrix B with B[i, k] = k-th orthonormal basis polynomial at node i."""
-        if self._basis is None:
-            self._build_basis()
-        return self._basis
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues k (k + d - 1) of -L on the basis polynomials."""
-        if self._eigenvalues is None:
-            self._build_basis()
-        return self._eigenvalues
+        self.eigenvalues = eigs
 
     def integrate(self, values) -> float:
         return float(np.dot(self.weights, values))
@@ -223,13 +208,10 @@ def _log_entropy(values: np.ndarray, rule: UltrasphericalRule) -> float:
 
 def _norm_and_entropy(u: AxiFunction, p: float) -> tuple[float, float]:
     """|u|_p^2 and the entropy e of entropy_fisher (its log form at p = 2)."""
-    try:
-        np2 = lp_norm(u, p) ** 2
-        if p == 2.0:
-            return np2, 0.5 * _log_entropy(u.values, u.rule)
-        n22 = lp_norm(u, 2.0) ** 2
-    except OverflowError:
-        raise ValidationError(f"the squared L^p or L^2 norm of u overflows a float (p = {p})") from None
+    np2 = lp_norm(u, p) ** 2
+    if p == 2.0:
+        return np2, 0.5 * _log_entropy(u.values, u.rule)
+    n22 = lp_norm(u, 2.0) ** 2
     return np2, (np2 - n22) / (p - 2.0)
 
 
@@ -396,10 +378,7 @@ def ckp_distance(u: AxiFunction, p: float) -> tuple[float, float]:
     p = check_real("exponent p", p, 1.0)
     if p == 2.0:
         raise ValidationError("ckp_distance is not defined at p = 2")
-    try:
-        n22, np2 = lp_norm(u, 2.0) ** 2, lp_norm(u, p) ** 2
-    except OverflowError:
-        n22 = np2 = math.inf
+    n22, np2 = lp_norm(u, 2.0) ** 2, lp_norm(u, p) ** 2
     if not (math.isfinite(n22) and math.isfinite(np2)):
         raise ValidationError(f"the squared L^p or L^2 norm of u is not finite (p = {p})")
     if n22 <= 0.0:

@@ -512,8 +512,9 @@ def best_constant(
     band-limited perturbations of it.  The starts run in parallel on one
     worker per CPU of the affinity mask, with the same result as one after
     another; the workers are forked for this call and have exited when it
-    returns.  The reported value is an upper bound for the true optimal
-    constant that tightens with resolution.
+    returns.  The value is the least quotient on the node_count-point rule,
+    not a bound on the optimal constant: on finer rules the quotient of a
+    48-node minimizer moved by up to 5.9e-13 relative, either way.
     """
     if pp.p == 2.0:
         raise ValidationError("quotient minimization needs p != 2")
@@ -588,8 +589,8 @@ def principal_eigenvalue(potential: AxiFunction, sign_mode: str) -> float:
 
     The dense Galerkin matrix is diag(k(k+d-1)) -/+ the quadrature Gram
     matrix of the potential, so its Rayleigh quotient agrees exactly with
-    quotients of probe profiles computed by the same quadrature; the discrete
-    eigenvalue is an upper bound for the continuum one.
+    quotients of probe profiles computed by the same quadrature.  The potential
+    term is a quadrature, so the eigenvalue is no certified upper bound for the continuum one.
     """
     if sign_mode not in ("minus_V", "plus_V"):
         raise ValidationError(f"sign_mode must be minus_V or plus_V, got {sign_mode}")
@@ -637,7 +638,8 @@ def klt_validate(
     Attractive mode (-Lap - V, p = 2q/(q-1), q > max(1, d/2)) checks
     lam1 >= -bound(|V|_q); repulsive mode (-Lap + V, p = 2q/(q+1)) checks
     lam1 >= bound(1/|1/V|_q).  Violations beyond the tolerance are counted,
-    not raised: they indicate implementation bugs.
+    not raised.  One may be a defect, or dsyevr's absolute error of about
+    eps ||A|| on a potential spanning many decades (seed 1669913579).
     """
     if n_samples < 1:
         raise ValidationError(f"sample count must be at least 1, got {n_samples}")

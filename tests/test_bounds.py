@@ -391,7 +391,8 @@ class TestEuclideanConstant:
         assert c_dp(pp) == pytest.approx(d * math.exp(log_term) / (p - 2.0), rel=1e-12)
 
     def test_overflow_rejected(self):
-        with pytest.raises(ValidationError, match="overflows"):
+        # Python's OverflowError, which the CLI maps to exit 2
+        with pytest.raises(OverflowError):
             c_dp(make_parameter_point(10_000, 1.9))
 
 

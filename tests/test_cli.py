@@ -257,6 +257,18 @@ class TestFigure1:
             "figure1", "--lambda-grid", "-1.0", "--out-dir", str(tmp_path)
         ) == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_pool_workers_run_under_the_floating_point_policy(self, tmp_path, capfd, monkeypatch):
+        # the descents run in two forked workers, which inherit the run's
+        # np.errstate: a worker that warned would raise its RuntimeWarning
+        # here, and one that printed it would write to fd 2
+        monkeypatch.setattr("sphereineq.variational._worker_count", lambda: 2)
+        argv = ["figure1", "--lambda-grid", "1e300", "--n-nodes", "8", "--restarts", "2"]
+        assert run_cli(*argv, "--out-dir", str(tmp_path)) == 4
+        err = capfd.readouterr().err
+        assert err.startswith("did not converge: the solve at 1e+300 broke down: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestFigure2:
     def test_d3_band_annotations(self, tmp_path):
@@ -554,8 +566,27 @@ class TestVerify:
         # |u|_2^2 overflows at d = 177: the nan margin read as a failed bound
         argv = ["verify", "ckp", "--d", "177", "--p", "2.0001933556760054", "--n", "1"]
         assert run_cli(*argv, "--out-dir", str(tmp_path)) == 2
-        assert "norm of u is not finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: floating-point exception at these parameters: overflow encountered in power\n"
+        )
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_samples_exit_2_with_one_line(self, tmp_path, capfd):
+        # |u|^p of a sampled u overflows at d = 10: weighted_gns failed with
+        # worst_margin -inf after two numpy warnings
+        assert run_cli("verify", "all", "--d", "10", "--p", "2.5", "--out-dir", str(tmp_path)) == 2
+        err = capfd.readouterr().err
+        assert err.startswith("error: floating-point exception") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_flow_margin_is_the_least_over_the_applied_criteria(self, tmp_path, capsys):
+        # the rate and ODE residuals failed, while the reported mass margin was +1e-10
+        argv = ["verify", "flow", "--d", "100", "--p", "1.999", "--n", "1"]
+        assert run_cli(*argv, "--out-dir", str(tmp_path)) == 3
+        assert "[FAIL] heat_flow_certification" in capsys.readouterr().out
+        (check,) = load_json(tmp_path / "verify_flow_d100_p1.999.json")["checks"]
+        assert check["passed"] is False and check["worst_margin"] < 0.0
 
     def test_missing_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -840,6 +871,8 @@ def _command_lines(draw):
 @example((["constants", "--d", "3", "--p", "3"], None), True)
 # log |S^d| of a surface that underflows to 0 raised a math domain error in c_dp
 @example((["constants", "--d", "1000", "--p", "1.999"], None), False)
+# and c_dp itself overflows a float
+@example((["constants", "--d", "10000", "--p", "1.9"], None), False)
 # sharper_stability's power overflowed near p = 2
 @example((["verify", "euclidean", "--d", "3", "--p", "2.001", "--n", "2"], None), False)
 # |u|_p^2 overflowed at d = 10^4
@@ -876,6 +909,13 @@ def _command_lines(draw):
 # a potential scale of -0.0 passed its check, but numpy's normal rejected it
 @example((["klt", "--d", "1", "--q", "2.0", "--samples", "2", "--mode", "minus_V",
            "--n-nodes", "16", "--scale", "-0.0"], None), False)
+# |u|^p of a sampled u overflowed (at the default --n), and weighted_gns
+# failed with worst_margin -inf
+@example((["verify", "all", "--d", "10", "--p", "2.5"], None), False)
+# the same breakdown as lambda = 1e300 above, in the descents of forked pool workers
+@example((["figure1", "--lambda-grid", "1e300", "--n-nodes", "8", "--restarts", "2"], None), False)
+# a numpy warning is a floating-point exception that the run did not trap
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_every_failure_exits_with_a_documented_code(run, out_under_file):
     argv, config = run
     with tempfile.TemporaryDirectory() as tmp:
