@@ -120,6 +120,14 @@ def _print_table(table: dict) -> None:
         print(f"{key.ljust(width)}  {text}")
 
 
+def _where_defined(f, pp):
+    """(f(pp), None), or (None, the reason) where f rejects pp with a ValidationError."""
+    try:
+        return f(pp), None
+    except ValidationError as exc:
+        return None, str(exc)
+
+
 # ---------------------------------------------------------------------------
 # constants
 
@@ -127,20 +135,17 @@ def _print_table(table: dict) -> None:
 def cmd_constants(args) -> tuple[int, str, dict]:
     pp = make_parameter_point(args.d, args.p)
 
+    # each optional row appears where its function accepts (d, p)
     table: dict = dataclasses.asdict(pp)
-    if pp.p != 2.0:
-        table["gns_constant"] = c_dp(pp)
-    if pp.d >= 3:
-        table["antipodal_constant"] = antipodal_constant(pp)
-    if pp.d >= 2 and 2.0 < pp.p < pp.two_sharp:
-        improved_constant, log_lambda = afst_constants(pp)
-        table["afst_gns_constant"] = improved_constant
-        table["afst_log_lambda"] = log_lambda
-    try:
-        rng_beta = beta_roots(pp)
-    except ValidationError:
-        pass  # outside the flow range, or (3, 6) where gamma(beta) = -1: no admissible beta
-    else:
+    for key, f in (("gns_constant", c_dp), ("antipodal_constant", antipodal_constant)):
+        value, _ = _where_defined(f, pp)
+        if value is not None:
+            table[key] = value
+    afst, _ = _where_defined(afst_constants, pp)
+    if afst is not None:
+        table["afst_gns_constant"], table["afst_log_lambda"] = afst
+    rng_beta, _ = _where_defined(beta_roots, pp)  # none at (3, 6), where gamma(beta) = -1
+    if rng_beta is not None:
         table["beta_range_kind"] = rng_beta.kind
         for k, (lo, hi) in enumerate(rng_beta.components):
             table[f"beta_component_{k}"] = f"({repr(lo)}, {repr(hi)})"
@@ -517,8 +522,8 @@ def _suite_euclidean(pp, rule, rng, args) -> list[dict]:
     inequality_ids = []
     if pp.in_bakry_emery_range:
         inequality_ids.append("sharper_stability")
-        if pp.p > 2.0:
-            inequality_ids.append("stability")
+    if 2.0 < pp.p < pp.two_sharp:
+        inequality_ids.append("stability")
     for inequality_id in inequality_ids:
         results = [euclidean_deficit(v, inequality_id, pp) for v in flat_functions]
         checks.append(_deficit_battery(inequality_id, [(r.lhs, r.deficit) for r in results], args.tol))
@@ -573,7 +578,7 @@ _VERIFY_SUITES = (
     ("ckp", lambda pp: {2.0: "the entropy gap degenerates at p = 2",
                         4.0: "the CKP bound equals the entropy gap identically at p = 4"}.get(pp.p), _suite_ckp),
     ("euclidean", _euclidean_skip, _suite_euclidean),
-    ("antipodal", lambda pp: "the antipodal bound needs d >= 3" if pp.d < 3 else None, _suite_antipodal),
+    ("antipodal", lambda pp: _where_defined(antipodal_constant, pp)[1], _suite_antipodal),
     ("flow", lambda pp: None, _suite_flow),
 )
 _SUITES = tuple(name for name, _, _ in _VERIFY_SUITES) + ("all",)

@@ -495,7 +495,7 @@ def certify_ode_chain(
     h = trace.times[1] - trace.times[0]
     if np.max(np.abs(np.diff(trace.times) - h)) > 1e-9 * max(h, 1.0):
         raise ValidationError("certification needs a uniform time grid")
-    own = trace.setting.pp if isinstance(trace.setting, FlowSetting) else trace.setting
+    own, beta = _setting_parts(trace.setting)
     if pp is not None and (pp.d, pp.p) != (own.d, own.p):
         raise ValidationError(f"pp = ({pp.d}, {pp.p}) is not the trace's point ({own.d}, {own.p})")
     pp = own
@@ -515,11 +515,10 @@ def certify_ode_chain(
         residual = e_second + 2.0 * pp.d * e_prime - pp.gamma * e_prime**2 / denom
         ode_min = float(np.min(residual[2:-2]))
     else:
-        fs = trace.setting
         applicable = False
         ode_min = math.nan
-        if isinstance(fs, FlowSetting) and fs.admissible and fs.beta != 1.0:
-            quad = make_phi_beta_quadrature(fs)
+        if trace.setting.admissible and beta != 1.0:
+            quad = make_phi_beta_quadrature(trace.setting)
             # clip entropy roundoff (order 1e-16 on stationary data) at zero
             e_clip = np.maximum(trace.e, 0.0)
             x = 1.0 - (pp.p - 2.0) * e_clip
@@ -531,10 +530,7 @@ def certify_ode_chain(
     tolerances = {"mass_tol": mass_tol, "rate_tol": rate_tol, "lyapunov_tol": lyapunov_tol,
                   "ode_tol": ode_tol}
     passed = mass_drift <= mass_tol and rate_max <= rate_tol
-    admissible_run = (
-        trace.stats.get("admissible", True) if trace.mode == "nonlinear" else True
-    )
-    if admissible_run:
+    if heat or trace.setting.admissible:
         passed = passed and lyap_increase <= lyapunov_tol
     if heat and applicable:
         passed = passed and ode_min >= -ode_tol

@@ -23,11 +23,13 @@ also accept arrays since envelope and bound computations sweep many s at once.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
+from .bounds import _require_subcritical_above_two
 from .errors import InvariantViolation, ValidationError, check_real
 from .exponents import FlowSetting, ParameterPoint, _is_log_branch, beta_roots, make_flow_setting
 
@@ -113,39 +115,25 @@ def phi(pp: ParameterPoint, s: float) -> float:
 
 @dataclass(frozen=True)
 class PhiSpec:
-    """Which improvement function applies at a parameter point.
-
-    variant is one of "closed-form", "log-case", "beta-flow" or "envelope".
-    """
+    """The improvement function that applies at a parameter point: value(s)."""
 
     pp: ParameterPoint
-    variant: str
-    fs: FlowSetting | None = None
-
-    def value(self, s: float) -> float:
-        if self.variant in ("closed-form", "log-case"):
-            # phi dispatches consistently, including the p = 2 exponential
-            # limit of the closed form
-            return phi(self.pp, s)
-        if self.variant == "beta-flow":
-            assert self.fs is not None
-            return phi_beta(self.fs, s)
-        return phi_envelope(self.pp, s)
+    value: Callable[[float], float]
 
 
 def make_phi_spec(pp: ParameterPoint, fs: FlowSetting | None = None,
                   envelope: bool = False) -> PhiSpec:
-    """Select the improvement-function variant for a parameter point."""
+    """The envelope, the flow member of fs (admissible, at pp), or phi at pp."""
     if envelope:
-        return PhiSpec(pp=pp, variant="envelope")
+        return PhiSpec(pp, partial(phi_envelope, pp))
     if fs is not None:
-        if not fs.admissible:
+        if fs.pp != pp:
             raise ValidationError(
-                f"beta = {fs.beta} is not admissible at (d, p) = ({pp.d}, {pp.p})"
+                f"the flow setting's point ({fs.pp.d}, {fs.pp.p}) is not ({pp.d}, {pp.p})"
             )
-        return PhiSpec(pp=pp, variant="beta-flow", fs=fs)
-    variant = "log-case" if _is_log_branch(pp) else "closed-form"
-    return PhiSpec(pp=pp, variant=variant)
+        _member_coefficients(fs)
+        return PhiSpec(pp, partial(phi_beta, fs))
+    return PhiSpec(pp, partial(phi, pp))
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +320,8 @@ def phi_envelope(pp: ParameterPoint, s):
     All sampled beta are evaluated in one pass over a cached table, through
     the kernel of PhiBetaQuadrature.value, so each member keeps its bits.
     """
+    _require_subcritical_above_two(pp, "phi_envelope")
     p = pp.p
-    if not (2.0 < p):
-        raise ValidationError(f"the envelope is defined for p > 2, got p = {p}")
-    if pp.d >= 3 and p >= pp.two_star:
-        raise ValidationError(
-            f"the envelope is defined for p < 2d/(d-2) = {pp.two_star}, got p = {p}"
-        )
     exponent_a, prefactor_c, has_beta_one = _beta_table(pp)
     scalar, s_arr = _entropy_array(p, s)
     if exponent_a.size:

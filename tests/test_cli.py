@@ -23,7 +23,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import sphereineq.cli as cli
-from sphereineq import __version__
+from sphereineq import ValidationError, __version__, make_parameter_point
 from sphereineq.ioutils import fmt_float
 from sphereineq.variational import BestConstantResult, KLTReport
 
@@ -597,6 +597,47 @@ class TestVerify:
         with pytest.raises(SystemExit) as excinfo:
             run_cli("verify", "bogus")
         assert excinfo.value.code == 2
+
+
+def _edge_points() -> list[tuple[int, float]]:
+    """(d, p) for d = 1..8 at 1, p_star, 2, 3, 2#, 2* and just above the last
+    two, wherever make_parameter_point accepts p: 55 points."""
+    points = []
+    for d in range(1, 9):
+        pp = make_parameter_point(d, 2.0)
+        edges = (1.0, pp.p_star, 2.0, 3.0, pp.two_sharp, pp.two_sharp * (1.0 + 5e-15),
+                 pp.two_star, pp.two_star * (1.0 + 5e-15))
+        for p in dict.fromkeys(edges):
+            try:
+                make_parameter_point(d, p)
+            except ValidationError:
+                continue
+            points.append((d, p))
+    return points
+
+
+class TestDomainEdges:
+    @pytest.mark.parametrize("d, p", _edge_points())
+    def test_constants_and_verify_all_exit_0(self, d, p, tmp_path):
+        point = ["--d", str(d), "--p", repr(p), "--out-dir", str(tmp_path)]
+        assert run_cli("constants", *point) == 0
+        assert run_cli("verify", "all", *point, "--n", "2", "--n-nodes", "16") == 0
+
+    def test_constants_leave_out_rows_outside_their_domain(self, tmp_path):
+        assert run_cli("constants", "--d", "3", "--p", "1", "--out-dir", str(tmp_path)) == 0
+        report = load_json(tmp_path / "constants_d3_p1.json")
+        assert "antipodal_constant" not in report and "gns_constant" in report
+
+    def test_verify_all_runs_stability_only_below_two_sharp(self, tmp_path):
+        argv = ["verify", "all", "--d", "3", "--p", "4.75", "--n", "2", "--n-nodes", "16"]
+        assert run_cli(*argv, "--out-dir", str(tmp_path)) == 0
+        names = {c["name"] for c in load_json(tmp_path / "verify_all_d3_p4.75.json")["checks"]}
+        assert "sharper_stability" in names and "stability" not in names
+
+    def test_antipodal_suite_skips_with_the_library_reason(self, tmp_path, capsys):
+        assert run_cli("verify", "antipodal", "--d", "3", "--p", "1", "--out-dir", str(tmp_path)) == 2
+        assert ("suite 'antipodal' does not apply: antipodal_constant requires 1 < p <= 6.0"
+                in capsys.readouterr().err)
 
 
 class TestKLT:

@@ -160,13 +160,22 @@ class TestDispatcher:
         assert phi(make_parameter_point(d, p), s) == math.inf
 
     def test_phi_spec_variants(self):
-        assert make_phi_spec(make_parameter_point(3, 3.0)).variant == "closed-form"
-        assert make_phi_spec(make_parameter_point(1, 1.75)).variant == "log-case"
+        # each spec's value is the function it names, bit for bit: the closed
+        # form, the log branch, the p = 2 limit, a flow member and the envelope
+        for d, p in ((3, 3.0), (1, 1.75), (3, 2.0)):
+            pp = make_parameter_point(d, p)
+            assert make_phi_spec(pp).value(0.3) == phi(pp, 0.3)
         fs = make_flow_setting(make_parameter_point(3, 5.0), 1.2)
-        assert make_phi_spec(fs.pp, fs=fs).variant == "beta-flow"
-        assert make_phi_spec(fs.pp, envelope=True).variant == "envelope"
-        with pytest.raises(ValidationError):
+        assert make_phi_spec(fs.pp, fs=fs).value(0.3) == phi_beta(fs, 0.3)
+        assert make_phi_spec(fs.pp, envelope=True).value(0.3) == phi_envelope(fs.pp, 0.3)
+        with pytest.raises(ValidationError, match="not admissible"):
             make_phi_spec(fs.pp, fs=make_flow_setting(fs.pp, 1.0))
+
+    def test_phi_spec_rejects_another_points_flow_setting(self):
+        # a (3, 5) member would be compared against (3, 3) norms in deficit
+        fs = make_flow_setting(make_parameter_point(3, 5.0), 1.2)
+        with pytest.raises(ValidationError, match="is not"):
+            make_phi_spec(make_parameter_point(3, 3.0), fs=fs)
 
     def test_phi_spec_normalization_invariants(self):
         # phi(0) = 0 and a one-sided difference quotient near 1 at 0
