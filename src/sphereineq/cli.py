@@ -486,7 +486,7 @@ def _suite_gns(pp, rule, rng, args) -> list[dict]:
 
     functions = [random_band_limited_exponential(rule, rng) for _ in range(args.n)]
     inequality_ids = ["log_sobolev" if pp.p == 2.0 else "gns"]
-    if pp.p != 2.0 and pp.p <= pp.two_sharp:
+    if pp.p <= pp.two_sharp:
         inequality_ids.append("improved_gns")
     checks = []
     for inequality_id in inequality_ids:
@@ -831,7 +831,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FloatingPointError, OverflowError) as exc:
-        print(f"error: floating-point exception at these parameters: {exc}", file=sys.stderr)
+        what = "overflow" if isinstance(exc, OverflowError) else exc
+        print(f"error: {args.command}: floating-point exception at these parameters: {what}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

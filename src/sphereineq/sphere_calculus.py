@@ -117,12 +117,13 @@ def make_rule(d: int, n: int) -> UltrasphericalRule:
 class AxiFunction:
     """Axisymmetric function known at the quadrature nodes of a shared rule.
 
-    Values are immutable after construction; the coefficient representation in
-    the orthonormal ultraspherical basis is computed on first use and cached.
-    Either representation, but not both, seeds the constructor.
+    Values are immutable after construction; the coefficients in the
+    orthonormal ultraspherical basis and the power means of |u| are computed
+    on first use and kept.  Either representation, but not both, seeds the
+    constructor.
     """
 
-    __slots__ = ("rule", "_values", "_coefficients")
+    __slots__ = ("rule", "_values", "_coefficients", "_means")
 
     def __init__(self, rule: UltrasphericalRule, values=None, coefficients=None):
         if (values is None) == (coefficients is None):
@@ -158,6 +159,7 @@ class AxiFunction:
             vals = rule.to_values(self._coefficients)
             vals.setflags(write=False)
             self._values = vals
+        self._means = {}
 
     @property
     def values(self) -> np.ndarray:
@@ -171,6 +173,12 @@ class AxiFunction:
             self._coefficients = coeffs
         return self._coefficients
 
+    def _power_mean(self, q: float) -> float:
+        """Mean of |u|^q under the rule, kept per q: lp_norm and euclidean_norms share it."""
+        if (mean := self._means.get(q)) is None:
+            mean = self._means[q] = self.rule.integrate(np.abs(self._values) ** q)
+        return mean
+
     @property
     def is_positive(self) -> bool:
         return bool(np.all(self._values > 0.0))
@@ -182,7 +190,7 @@ class AxiFunction:
 def lp_norm(u: AxiFunction, q: float) -> float:
     """L^q norm of u under the uniform probability measure."""
     q = check_real("norm exponent q", q, 1.0)
-    return float(u.rule.integrate(np.abs(u.values) ** q) ** (1.0 / q))
+    return float(u._power_mean(q) ** (1.0 / q))
 
 
 def _spectral_energy(rule: UltrasphericalRule, c: np.ndarray) -> float:

@@ -145,8 +145,7 @@ def euclidean_norms(v: RadialEuclideanFunction, p: float) -> EuclideanNorms:
     d = float(u.rule.d)
     surface = sphere_surface(u.rule.d)
     delta = 2.0 * d - p * (d - 2.0)
-    mean_p = u.rule.integrate(np.abs(u.values) ** p)
-    mean_2 = u.rule.integrate(u.values**2)
+    mean_p, mean_2 = u._power_mean(p), u._power_mean(2.0)
     return EuclideanNorms(
         weighted_p=float(surface * 2.0 ** (-0.5 * delta) * mean_p),
         weighted_2=float(0.25 * surface * mean_2),

@@ -505,6 +505,14 @@ class TestVerify:
         assert {c["name"] for c in report["checks"]} == {"gns", "improved_gns"}
         assert all(c["worst_margin"] >= 0.0 for c in report["checks"])
 
+    def test_gns_suite_at_p2_runs_the_improved_form(self, tmp_path, capsys):
+        # improved_gns was left out at p = 2, where deficit takes phi's exponential branch
+        argv = ["verify", "gns", "--d", "3", "--p", "2", "--n", "10", "--n-nodes", "24"]
+        assert run_cli(*argv, "--out-dir", str(tmp_path)) == 0
+        assert "[PASS] log_sobolev" in capsys.readouterr().out
+        names = [c["name"] for c in load_json(tmp_path / "verify_gns_d3_p2.json")["checks"]]
+        assert names == ["log_sobolev", "improved_gns"]
+
     def test_all_suites_at_d2_skip_antipodal(self, tmp_path):
         code = run_cli(
             "verify", "all", "--d", "2", "--p", "3", "--n", "4", "--seed", "3",
@@ -567,7 +575,15 @@ class TestVerify:
         argv = ["verify", "ckp", "--d", "177", "--p", "2.0001933556760054", "--n", "1"]
         assert run_cli(*argv, "--out-dir", str(tmp_path)) == 2
         assert capsys.readouterr().err == (
-            "error: floating-point exception at these parameters: overflow encountered in power\n"
+            "error: verify: floating-point exception at these parameters: overflow encountered in power\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overflowing_scalar_names_the_command_and_the_overflow(self, tmp_path, capsys):
+        # Python's OverflowError text was printed bare: "math range error"
+        assert run_cli("constants", "--d", "10000", "--p", "1.9", "--out-dir", str(tmp_path)) == 2
+        assert capsys.readouterr().err == (
+            "error: constants: floating-point exception at these parameters: overflow\n"
         )
         assert list(tmp_path.iterdir()) == []
 
@@ -577,7 +593,7 @@ class TestVerify:
         # worst_margin -inf after two numpy warnings
         assert run_cli("verify", "all", "--d", "10", "--p", "2.5", "--out-dir", str(tmp_path)) == 2
         err = capfd.readouterr().err
-        assert err.startswith("error: floating-point exception") and err.count("\n") == 1
+        assert err.startswith("error: verify: floating-point exception") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
     def test_flow_margin_is_the_least_over_the_applied_criteria(self, tmp_path, capsys):

@@ -10,10 +10,11 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import eval_jacobi
 
 from sphereineq.errors import ValidationError
-from sphereineq.exponents import make_flow_setting, make_parameter_point
+from sphereineq.exponents import make_flow_setting, make_parameter_point, sphere_surface
 from sphereineq.phi_functions import make_phi_spec
 from sphereineq.sphere_calculus import (
     AxiFunction,
+    Deficit,
     UltrasphericalRule,
     c_q,
     ckp_distance,
@@ -24,6 +25,7 @@ from sphereineq.sphere_calculus import (
     make_rule,
     random_band_limited_exponential,
 )
+from sphereineq.stereographic import euclidean_norms, push_forward
 
 DEFICIT_TOL = 1.0e-8
 
@@ -222,6 +224,89 @@ class TestNorms:
         u = AxiFunction(rule, values=np.ones(8))
         with pytest.raises(ValidationError):
             lp_norm(u, 0.5)
+
+
+BATTERY_POINTS = ((3, 1.5), (3, 3.0), (2, 4.0), (3, 5.0))
+
+
+def float_bits(result) -> list[str]:
+    """Every float of a consumer's result (a float, a tuple or a Deficit), as float.hex."""
+    if isinstance(result, Deficit):
+        result = (result.lhs, result.rhs, result.deficit)
+    return [float(x).hex() for x in np.atleast_1d(result)]
+
+
+def power_mean_consumers(pp, u):
+    """(name, evaluate) for every reader of the power means that accepts u at pp."""
+    p = pp.p
+    spec = make_phi_spec(pp, envelope=p > pp.two_sharp)
+    consumers = [
+        ("lp_norm_p", lambda f: lp_norm(f, p)),
+        ("lp_norm_2", lambda f: lp_norm(f, 2.0)),
+        ("entropy_fisher", lambda f: entropy_fisher(f, p)),
+        ("improved_phi", lambda f: deficit(f, "improved_phi", pp, spec)),
+        ("ckp_distance", lambda f: ckp_distance(f, p)),
+        ("euclidean_norms", lambda f: euclidean_norms(push_forward(f), p)),
+    ]
+    for id_ in ("gns", "improved_gns", "afst", "antipodal"):
+        try:
+            deficit(u, id_, pp)
+        except ValidationError:
+            continue
+        consumers.append((id_, lambda f, id_=id_: deficit(f, id_, pp)))
+    return consumers
+
+
+class TestPowerMeans:
+    """The means of |u|^q that an AxiFunction keeps, and the readers that share them."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        point=st.sampled_from(BATTERY_POINTS),
+        even=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_reader_keeps_its_bits_whichever_filled_the_means(self, point, even, seed):
+        # an even draw brings in afst and antipodal; a second function is read
+        # first, so that means kept for another function would show
+        pp = make_parameter_point(*point)
+        rule, rng = make_rule(pp.d, 48), np.random.default_rng(seed)
+        coeffs = rng.normal(0.0, 0.5, (2, 9))
+        if even:
+            coeffs[:, 1::2] = 0.0
+        v, other = np.exp(rule.basis[:, :9] @ coeffs.T).T
+        consumers = power_mean_consumers(pp, AxiFunction(rule, values=v))
+        w = AxiFunction(rule, values=other)
+        for _, evaluate in consumers:
+            evaluate(w)
+        fresh = {name: float_bits(evaluate(AxiFunction(rule, values=v))) for name, evaluate in consumers}
+        for first, fill in consumers:
+            u = AxiFunction(rule, values=v)
+            fill(u)
+            for name, evaluate in consumers:
+                assert float_bits(evaluate(u)) == fresh[name], (first, name)
+        # the means and the two readers that take them whole, against their former expressions
+        mean_p, mean_2 = rule.integrate(np.abs(v) ** pp.p), rule.integrate(v**2)
+        assert float_bits((u._power_mean(pp.p), u._power_mean(2.0))) == float_bits((mean_p, mean_2))
+        assert fresh["lp_norm_p"] == float_bits(mean_p ** (1.0 / pp.p))
+        assert fresh["lp_norm_2"] == float_bits(mean_2**0.5)
+        d, surface = float(pp.d), sphere_surface(pp.d)
+        assert fresh["euclidean_norms"] == float_bits((
+            surface * 2.0 ** (-0.5 * (2.0 * d - pp.p * (d - 2.0))) * mean_p,
+            0.25 * surface * mean_2,
+            surface * (dirichlet(u) + 0.25 * d * (d - 2.0) * mean_2),
+        ))
+
+    def test_one_mean_per_exponent(self):
+        rule = make_rule(3, 24)
+        v = np.exp(0.3 * rule.nodes)
+        u = AxiFunction(rule, values=v)
+        assert lp_norm(u, 2) == lp_norm(u, 2.0)
+        assert list(u._means) == [2.0]
+        cubic = lp_norm(u, 3.0)
+        assert list(u._means) == [2.0, 3.0]
+        assert u._means[3.0] == rule.integrate(np.abs(v) ** 3.0) != u._means[2.0]
+        assert cubic == rule.integrate(np.abs(v) ** 3.0) ** (1.0 / 3.0)
 
 
 class TestDirichlet:
