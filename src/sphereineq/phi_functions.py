@@ -149,6 +149,8 @@ def _gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _entropy_array(p: float, s) -> tuple[bool, np.ndarray]:
     """(whether s is a scalar, s as a checked 1-D array in [0, 1/(p-2)))."""
+    if isinstance(s, float) and 0.0 <= s < _s_sup(p):  # a float in range skips the array checks
+        return True, np.array([s])
     scalar = np.isscalar(s) or (isinstance(s, np.ndarray) and s.ndim == 0)
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any(~np.isfinite(s_arr)) or np.any(s_arr < 0.0):

@@ -118,12 +118,12 @@ class AxiFunction:
     """Axisymmetric function known at the quadrature nodes of a shared rule.
 
     Values are immutable after construction; the coefficients in the
-    orthonormal ultraspherical basis and the power means of |u| are computed
-    on first use and kept.  Either representation, but not both, seeds the
-    constructor.
+    orthonormal ultraspherical basis, the power means of |u| and the
+    Dirichlet energy are computed on first use and kept.  Either
+    representation, but not both, seeds the constructor.
     """
 
-    __slots__ = ("rule", "_values", "_coefficients", "_means")
+    __slots__ = ("rule", "_values", "_coefficients", "_means", "_energy")
 
     def __init__(self, rule: UltrasphericalRule, values=None, coefficients=None):
         if (values is None) == (coefficients is None):
@@ -160,6 +160,7 @@ class AxiFunction:
             vals.setflags(write=False)
             self._values = vals
         self._means = {}
+        self._energy = None
 
     @property
     def values(self) -> np.ndarray:
@@ -199,8 +200,10 @@ def _spectral_energy(rule: UltrasphericalRule, c: np.ndarray) -> float:
 
 
 def dirichlet(u: AxiFunction) -> float:
-    """Squared gradient norm, computed spectrally as sum k(k+d-1) c_k^2."""
-    return _spectral_energy(u.rule, u.coefficients)
+    """Squared gradient norm, computed spectrally as sum k(k+d-1) c_k^2 and kept on u."""
+    if u._energy is None:
+        u._energy = _spectral_energy(u.rule, u.coefficients)
+    return u._energy
 
 
 def _log_entropy(values: np.ndarray, rule: UltrasphericalRule) -> float:
@@ -257,6 +260,8 @@ def _check_moment_free(u: AxiFunction, p: float) -> None:
 
 
 def _check_even(vals: np.ndarray) -> None:
+    if np.array_equal(vals, vals[::-1]):
+        return
     scale = float(np.max(np.abs(vals))) or 1.0
     if float(np.max(np.abs(vals - vals[::-1]))) > _SYMMETRY_TOL * scale:
         raise ValidationError("evenness precondition failed: u(z) != u(-z)")
@@ -350,11 +355,11 @@ def deficit(
 
 
 def _nu(s: np.ndarray, q: float) -> np.ndarray:
-    """Distance kernel: s^2 for |s| <= 1 and s^q for s > 1."""
-    out = np.where(np.abs(s) <= 1.0, s * s, 0.0)
+    """Distance kernel: s^2 for |s| <= 1, s^q for s > 1 and 0 for s < -1."""
+    out = s * s
+    out[s < -1.0] = 0.0
     big = s > 1.0
-    if np.any(big):
-        out = np.where(big, np.where(big, s, 1.0) ** q, out)
+    out[big] = s[big] ** q
     return out
 
 

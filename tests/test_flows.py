@@ -474,6 +474,11 @@ class TestAntipodal:
         cfg = make_flow_config(D3P3, 0.5, antipodal=True)
         with pytest.raises(ValidationError):
             run_heat_flow(tilted(RULE3), cfg)
+        # even but for one interior node: the end values still mirror each other
+        vals = np.exp(0.1 * RULE3.nodes**2)
+        vals[11] *= 1.0 + 1e-6
+        with pytest.raises(ValidationError, match="evenness"):
+            run_heat_flow(AxiFunction(RULE3, values=vals), cfg)
 
 
 class TestCertification:

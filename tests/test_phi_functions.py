@@ -432,6 +432,26 @@ class TestEnvelopeBits:
         np.testing.assert_array_equal(phi_envelope(pp, np.array([s, 0.5 * s])),
                                       reference_phi_envelope(pp, np.array([s, 0.5 * s])))
 
+    @pytest.mark.parametrize("d, p", [(3, 3.0), (3, 5.0)])
+    def test_scalar_matches_one_element_array(self, d, p):
+        # a Python float, np.float64 and a 0-d array each give the result, as a
+        # float, or the message of the 1-element array path
+        pp = make_parameter_point(d, p)
+
+        def outcome(s):
+            try:
+                value = phi_envelope(pp, s)
+            except ValidationError as exc:
+                return str(exc)
+            return type(value), [float(x).hex() for x in np.atleast_1d(value)]
+
+        for s in (math.nan, math.inf, -1.0, -0.0, 0.0, 1.0 / (p - 2.0), 2.0 / (p - 2.0)):
+            expected = outcome(np.array([s]))
+            if not isinstance(expected, str):
+                expected = (float, expected[1])
+            for scalar in (s, np.float64(s), np.array(s)):
+                assert outcome(scalar) == expected, (s, type(scalar))
+
     @pytest.mark.parametrize("bad", [-1e-12, -1.0, math.nan, math.inf, 1.0 / 3.0, 1.0])
     def test_rejects_bad_entropy_arguments(self, bad):
         pp = make_parameter_point(3, 5.0)

@@ -13,9 +13,11 @@ from sphereineq.errors import ValidationError
 from sphereineq.exponents import make_flow_setting, make_parameter_point, sphere_surface
 from sphereineq.phi_functions import make_phi_spec
 from sphereineq.sphere_calculus import (
+    _SYMMETRY_TOL,
     AxiFunction,
     Deficit,
     UltrasphericalRule,
+    _nu,
     c_q,
     ckp_distance,
     deficit,
@@ -308,6 +310,39 @@ class TestPowerMeans:
         assert u._means[3.0] == rule.integrate(np.abs(v) ** 3.0) != u._means[2.0]
         assert cubic == rule.integrate(np.abs(v) ** 3.0) ** (1.0 / 3.0)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        point=st.sampled_from(BATTERY_POINTS),
+        seeded=st.sampled_from(["values", "coefficients"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_energy_keeps_its_bits_whichever_reader_filled_it(self, point, seeded, seed):
+        # a second function is read first, so that an energy kept for another function would show
+        pp = make_parameter_point(*point)
+        rule, rng = make_rule(pp.d, 48), np.random.default_rng(seed)
+        if seeded == "values":
+            make = lambda c: AxiFunction(rule, values=np.exp(rule.basis[:, :9] @ c))
+        else:
+            make = lambda c: AxiFunction(rule, coefficients=c)
+        coeffs, other = rng.normal(0.0, 0.5, (2, 9))
+        readers = [
+            ("dirichlet", dirichlet),
+            ("entropy_fisher", lambda f: entropy_fisher(f, pp.p)[1]),
+            ("euclidean_norms", lambda f: euclidean_norms(push_forward(f), pp.p).dirichlet),
+        ]
+        w = make(other)
+        for _, read in readers:
+            read(w)
+        fresh = {name: float(read(make(coeffs))).hex() for name, read in readers}
+        for first, fill in readers:
+            u = make(coeffs)
+            fill(u)
+            for name, read in readers:
+                assert float(read(u)).hex() == fresh[name], (first, name)
+        # the energy against its former expression, recomputed on every call
+        c = u.coefficients
+        assert fresh["dirichlet"] == fresh["entropy_fisher"] == float(np.dot(rule.eigenvalues, c * c)).hex()
+
 
 class TestDirichlet:
     def test_constant_is_zero(self):
@@ -520,6 +555,28 @@ class TestDeficits:
                 res = deficit(u, "antipodal", pp=pp)
                 assert res.deficit >= -DEFICIT_TOL * (1.0 + abs(res.lhs))
 
+    @pytest.mark.parametrize("node", [0, 11, 17])
+    def test_evenness_decisions(self, node):
+        # exactly mirrored values take the fast path; one node off by half the
+        # tolerance passes through the tolerance test, and off by twice it raises
+        rule = make_rule(3, 48)
+        pp = make_parameter_point(3, 3.0)
+        vals = np.exp(-0.3 * rule.nodes**2 + 0.1 * rule.nodes**4)
+        assert np.array_equal(vals, vals[::-1])
+        deficit(AxiFunction(rule, values=vals), "antipodal", pp)
+        scale = float(np.max(np.abs(vals)))
+        assert vals[node] < scale  # the perturbed node does not set the scale
+        for factor, passes in ((0.5, True), (2.0, False)):
+            off = vals.copy()
+            off[node] += factor * _SYMMETRY_TOL * scale
+            assert not np.array_equal(off, off[::-1])
+            u = AxiFunction(rule, values=off)
+            if passes:
+                deficit(u, "antipodal", pp)
+            else:
+                with pytest.raises(ValidationError, match="evenness precondition failed"):
+                    deficit(u, "antipodal", pp)
+
     def test_antipodal_evenness_precondition(self):
         rule = make_rule(3, 48)
         pp = make_parameter_point(3, 3.0)
@@ -677,6 +734,17 @@ class TestKernelConstant:
             c_q(1.0)
         with pytest.raises(ValidationError):
             c_q(0.5)
+
+    @pytest.mark.parametrize("q", [1.5, 2.0, 2.5])
+    def test_distance_kernel_matches_former_expression(self, q):
+        edges = np.array([-2.0, -1.0, -0.5, 0.0, 1.0, np.nextafter(1.0, 2.0), 2.0, 1e3])
+        v = np.exp(np.random.default_rng(17).normal(0.0, 0.8, 48))
+        for s in (edges, v * v / np.mean(v * v) - 1.0):
+            former = np.where(np.abs(s) <= 1.0, s * s, 0.0)
+            big = s > 1.0
+            if np.any(big):
+                former = np.where(big, np.where(big, s, 1.0) ** q, former)
+            assert _nu(s, q).tobytes() == former.tobytes()
 
     def test_repeated_call_is_a_cache_hit(self):
         first = c_q(1.7)
